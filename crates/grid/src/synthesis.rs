@@ -27,6 +27,11 @@ pub struct GridDataset {
     seed: u64,
     fuels: Vec<(FuelType, HourlySeries)>,
     demand: HourlySeries,
+    /// Observed maxima of the solar and wind series — the grid capacities
+    /// every investment is scaled against. The series never change after
+    /// synthesis, so each is scanned once here instead of per supply build.
+    solar_max_mw: f64,
+    wind_max_mw: f64,
 }
 
 impl GridDataset {
@@ -88,6 +93,8 @@ impl GridDataset {
         let gas = &residual * ((1.0 - profile.coal_share) * 0.92);
         let other = &residual * ((1.0 - profile.coal_share) * 0.08);
 
+        let solar_max_mw = solar.max().unwrap_or(0.0);
+        let wind_max_mw = wind.max().unwrap_or(0.0);
         let fuels = vec![
             (FuelType::Wind, wind),
             (FuelType::Solar, solar),
@@ -103,6 +110,8 @@ impl GridDataset {
             seed,
             fuels,
             demand,
+            solar_max_mw,
+            wind_max_mw,
         }
     }
 
@@ -191,13 +200,13 @@ impl GridDataset {
     /// generation ≙ installed grid capacity). Returns zeros if this grid
     /// has no wind.
     pub fn scaled_wind(&self, investment_mw: f64) -> HourlySeries {
-        scale_to_investment(self.wind(), investment_mw)
+        scale_series(self.wind(), scale_factor(self.wind_max_mw, investment_mw))
     }
 
     /// Solar generation linearly rescaled to an investment of
     /// `investment_mw`. Returns zeros if this grid has no solar.
     pub fn scaled_solar(&self, investment_mw: f64) -> HourlySeries {
-        scale_to_investment(self.solar(), investment_mw)
+        scale_series(self.solar(), scale_factor(self.solar_max_mw, investment_mw))
     }
 
     /// Combined renewable supply for a (solar, wind) investment pair.
@@ -213,16 +222,16 @@ impl GridDataset {
     /// by these factors is exactly [`GridDataset::scaled_renewables`].
     pub fn renewable_scale_factors(&self, solar_mw: f64, wind_mw: f64) -> (f64, f64) {
         (
-            scale_factor(self.solar(), solar_mw),
-            scale_factor(self.wind(), wind_mw),
+            scale_factor(self.solar_max_mw, solar_mw).unwrap_or(0.0),
+            scale_factor(self.wind_max_mw, wind_mw).unwrap_or(0.0),
         )
     }
 
     /// Writes the combined renewable supply for a (solar, wind) investment
-    /// pair into `out`, reusing its allocation. `out` is re-created only
-    /// if it is misaligned with this grid's series (e.g. freshly
-    /// constructed), so sweep loops that reuse one buffer per thread pay
-    /// zero allocations per design point.
+    /// pair into `out`, reusing its allocation, in one pass over the two
+    /// source series. `out` is re-created only if it is misaligned with
+    /// this grid's series (e.g. freshly constructed), so sweep loops that
+    /// reuse one buffer per thread pay zero allocations per design point.
     pub fn scaled_renewables_into(&self, solar_mw: f64, wind_mw: f64, out: &mut HourlySeries) {
         let solar = self.solar();
         if out.check_aligned(solar).is_err() {
@@ -240,25 +249,23 @@ impl GridDataset {
     }
 }
 
-/// The multiplier [`scale_to_investment`] applies: `investment / max`, or
-/// `0.0` for a non-positive investment or an all-zero series.
-fn scale_factor(series: &HourlySeries, investment_mw: f64) -> f64 {
-    let max = series.max().unwrap_or(0.0);
-    if max <= 0.0 || investment_mw <= 0.0 {
-        0.0
+/// The multiplier that rescales a source whose observed maximum is
+/// `max_mw` so that maximum equals `investment_mw`: `investment / max`, or
+/// `None` for a non-positive investment or an all-zero source.
+fn scale_factor(max_mw: f64, investment_mw: f64) -> Option<f64> {
+    if max_mw <= 0.0 || investment_mw <= 0.0 {
+        None
     } else {
-        investment_mw / max
+        Some(investment_mw / max_mw)
     }
 }
 
-/// Linearly rescales a generation series so its observed maximum equals
-/// `investment_mw` (zero investment or an all-zero series yields zeros).
-pub fn scale_to_investment(series: &HourlySeries, investment_mw: f64) -> HourlySeries {
-    let max = series.max().unwrap_or(0.0);
-    if max <= 0.0 || investment_mw <= 0.0 {
-        return HourlySeries::zeros(series.start(), series.len());
+/// `series` multiplied by `factor`, or all zeros without one.
+fn scale_series(series: &HourlySeries, factor: Option<f64>) -> HourlySeries {
+    match factor {
+        Some(factor) => series.scale(factor),
+        None => HourlySeries::zeros(series.start(), series.len()),
     }
-    series.scale(investment_mw / max)
 }
 
 /// Seed-stream tag for the solar component.
@@ -368,11 +375,76 @@ mod tests {
         assert!((max - min) / max < 0.35, "grid demand swing plausible");
     }
 
+    /// Every supply entry point, pinned bit for bit against the paper's
+    /// recipe applied to the raw series: the observed maximum, then
+    /// `investment / max`, then `x·fs + y·fw`. DUK's all-zero wind and the
+    /// non-positive investments take the zero-factor branch.
     #[test]
     fn scaled_renewables_combines_sources() {
-        let g = pace();
-        let combined = g.scaled_renewables(100.0, 100.0);
-        let apart = &g.scaled_solar(100.0) + &g.scaled_wind(100.0);
-        assert_eq!(combined, apart);
+        fn factor(series: &HourlySeries, investment_mw: f64) -> Option<f64> {
+            let max = series.max().unwrap_or(0.0);
+            (max > 0.0 && investment_mw > 0.0).then(|| investment_mw / max)
+        }
+        fn bits(values: &[f64]) -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
+        fn scaled_bits(series: &HourlySeries, factor: Option<f64>) -> Vec<u64> {
+            match factor {
+                Some(f) => series.values().iter().map(|x| (x * f).to_bits()).collect(),
+                None => vec![0.0f64.to_bits(); series.len()],
+            }
+        }
+
+        let investments = [-1.0, 0.0, 1e-9, 1.0, 250.0, 1e5];
+        for ba in BalancingAuthority::ALL {
+            let g = GridDataset::synthesize(ba, 2020, 7);
+            let (solar, wind) = (g.solar(), g.wind());
+            // Starts misaligned, so the first call also covers realignment.
+            let mut out = HourlySeries::zeros(solar.start(), 1);
+            for mw in investments {
+                assert_eq!(
+                    bits(g.scaled_solar(mw).values()),
+                    scaled_bits(solar, factor(solar, mw)),
+                    "{ba:?} solar {mw}"
+                );
+                assert_eq!(
+                    bits(g.scaled_wind(mw).values()),
+                    scaled_bits(wind, factor(wind, mw)),
+                    "{ba:?} wind {mw}"
+                );
+            }
+            for solar_mw in investments {
+                for wind_mw in investments {
+                    let fs = factor(solar, solar_mw).unwrap_or(0.0);
+                    let fw = factor(wind, wind_mw).unwrap_or(0.0);
+                    let (gs, gw) = g.renewable_scale_factors(solar_mw, wind_mw);
+                    assert_eq!(
+                        (gs.to_bits(), gw.to_bits()),
+                        (fs.to_bits(), fw.to_bits()),
+                        "{ba:?} factors ({solar_mw}, {wind_mw})"
+                    );
+                    let expected: Vec<u64> = solar
+                        .values()
+                        .iter()
+                        .zip(wind.values())
+                        .map(|(x, y)| (x * fs + y * fw).to_bits())
+                        .collect();
+                    g.scaled_renewables_into(solar_mw, wind_mw, &mut out);
+                    assert_eq!(
+                        bits(out.values()),
+                        expected,
+                        "{ba:?} into ({solar_mw}, {wind_mw})"
+                    );
+                    let combined = g.scaled_renewables(solar_mw, wind_mw);
+                    assert_eq!(
+                        bits(combined.values()),
+                        expected,
+                        "{ba:?} ({solar_mw}, {wind_mw})"
+                    );
+                    let apart = &g.scaled_solar(solar_mw) + &g.scaled_wind(wind_mw);
+                    assert_eq!(combined, apart);
+                }
+            }
+        }
     }
 }

@@ -165,13 +165,13 @@ pub fn combined_dispatch(
 
         effective[h] = load;
         soc[h] = battery.soc_mwh();
-        let backlog_now: f64 = backlog.iter().map(|(_, e)| e).sum();
+        let backlog_now = backlog_mwh(&backlog);
         peak_backlog = peak_backlog.max(backlog_now);
     }
 
     // Anything still in the backlog at the end of the horizon is forced
     // onto grid energy (conservative accounting).
-    let leftover: f64 = backlog.iter().map(|(_, e)| e).sum();
+    let leftover = backlog_mwh(&backlog);
     if let Some(last) = unmet.last_mut() {
         *last += leftover;
         forced_total += leftover;
@@ -204,6 +204,16 @@ pub fn combined_dispatch(
 #[derive(Debug, Clone, Default)]
 pub struct CombinedScratch {
     backlog: VecDeque<(usize, f64)>,
+}
+
+/// Energy waiting in the deferral backlog, MWh. Folded from +0.0:
+/// `Iterator::sum` of an empty backlog is −0.0, and `f64::max(0.0, -0.0)`
+/// may return either zero, which would leave the sign of
+/// `peak_backlog_mwh` to codegen. Entries are always > 1e-12, so a
+/// non-empty backlog sums to the same bits either way.
+#[inline]
+fn backlog_mwh(backlog: &VecDeque<(usize, f64)>) -> f64 {
+    backlog.iter().fold(0.0, |acc, &(_, e)| acc + e)
 }
 
 /// The sweep-relevant aggregates of a combined battery + CAS dispatch,
@@ -348,7 +358,7 @@ pub fn combined_dispatch_stats<B: BatteryModel + ?Sized>(
             }
         }
 
-        let backlog_now: f64 = backlog.iter().map(|(_, e)| e).sum();
+        let backlog_now = backlog_mwh(backlog);
         peak_backlog = peak_backlog.max(backlog_now);
 
         if h + 1 == len {
@@ -365,7 +375,7 @@ pub fn combined_dispatch_stats<B: BatteryModel + ?Sized>(
     // Anything still in the backlog at the end of the horizon is forced
     // onto grid energy (conservative accounting) via the final hour.
     if len > 0 {
-        let leftover: f64 = backlog.iter().map(|(_, e)| e).sum();
+        let leftover = backlog_mwh(backlog);
         let u = last_unmet + leftover;
         forced_total += leftover;
         unmet_mwh += u;

@@ -665,6 +665,7 @@ impl Loop {
     // ce:nonblocking
     fn process_conn(&mut self, slot: usize, now: Instant) -> bool {
         let mut incomplete = false;
+        let mut flushed = false;
         loop {
             let Some(conn) = self.slab.slot_mut(slot) else {
                 return false;
@@ -673,7 +674,18 @@ impl Loop {
                 break;
             }
             if conn.out.len() - conn.out_pos > OUT_HIGH_WATER {
-                break; // backpressure: stop producing until the peer drains
+                // Backpressure: stop producing until the peer drains. A
+                // flush that takes the backlog arms no POLLOUT, so requests
+                // still buffered would wait for a read event that may never
+                // come: flush now, and keep parsing if the peer took it.
+                self.try_flush(slot, now);
+                match self.slab.slot_mut(slot) {
+                    Some(conn) if conn.out.len() - conn.out_pos <= OUT_HIGH_WATER => continue,
+                    _ => {
+                        flushed = true;
+                        break;
+                    }
+                }
             }
             if conn.head.is_none() {
                 match http::find_head_end(&conn.buf, &mut conn.scan) {
@@ -750,7 +762,9 @@ impl Loop {
                 conn.pos = 0;
             }
         }
-        self.try_flush(slot, now);
+        if !flushed {
+            self.try_flush(slot, now);
+        }
         if let Some(conn) = self.slab.slot_mut(slot) {
             if conn.read_eof && conn.awaiting.is_none() {
                 if conn.out_pending() {

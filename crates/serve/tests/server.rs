@@ -376,6 +376,74 @@ fn pipelined_requests_split_across_reads_are_answered_in_order() {
 }
 
 #[test]
+fn pipelined_request_behind_a_large_response_is_answered() {
+    let handle = start(ServerConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    // 45 × 45 = 2025 points: just under the streaming threshold, so the
+    // answer is one ~1 MB buffered body, far past the output high-water
+    // mark, with a second request already buffered behind it.
+    let body = r#"{"site":"UT","strategy":"renewables_only","space":{"solar":[0,400,45],"wind":[0,400,45]}}"#;
+    let wire = format!(
+        "POST /explore HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}\
+         GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+        body.len()
+    );
+    stream
+        .write_all(wire.as_bytes())
+        .expect("send both requests");
+
+    // Time the second response from the end of the first, so the
+    // explore's compute time (long in debug builds) does not count.
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 64 * 1024];
+    let mut first_done = None;
+    loop {
+        let n = stream
+            .read(&mut chunk)
+            .expect("responses before the timeout");
+        if n == 0 {
+            break;
+        }
+        raw.extend_from_slice(&chunk[..n]);
+        if first_done.is_none() {
+            let text = String::from_utf8_lossy(&raw);
+            if let Some((head, rest)) = text.split_once("\r\n\r\n") {
+                let length: usize = head
+                    .lines()
+                    .find_map(|l| l.strip_prefix("content-length: "))
+                    .and_then(|v| v.trim().parse().ok())
+                    .expect("buffered explore response");
+                if rest.len() >= length {
+                    first_done = Some(Instant::now());
+                }
+            }
+        }
+    }
+    let gap = first_done.expect("explore response completed").elapsed();
+    let text = String::from_utf8(raw).expect("UTF-8 responses");
+    assert!(
+        text.len() > 512 * 1024,
+        "explore body is {} bytes",
+        text.len()
+    );
+    assert_eq!(text.matches("HTTP/1.1 200").count(), 2, "{}", &text[..200]);
+    assert!(text.starts_with("HTTP/1.1 200"));
+    assert!(
+        text.ends_with("{\"status\":\"ok\"}"),
+        "healthz must follow the explore: ...{}",
+        &text[text.len().saturating_sub(200)..]
+    );
+    assert!(
+        gap < Duration::from_secs(1),
+        "healthz answered {gap:?} after the explore"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn full_queue_sheds_with_429_while_healthz_stays_responsive() {
     let config = ServerConfig {
         workers: 1,
