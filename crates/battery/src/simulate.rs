@@ -5,6 +5,7 @@ use crate::api::BatteryModel;
 use ce_timeseries::kernels::COVERED_EPSILON_MWH;
 use ce_timeseries::stats::Histogram;
 use ce_timeseries::{DeficitStats, HourlySeries, TimeSeriesError};
+use std::iter;
 
 /// The outcome of dispatching a battery over a demand/supply pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +51,80 @@ impl DispatchResult {
     }
 }
 
+/// One hour of the greedy dispatch, as [`dispatch_hours`] hands it to a
+/// sink: grid draw, battery output and curtailed surplus (MW), and the
+/// state of charge at the end of the hour (MWh).
+#[derive(Clone, Copy)]
+struct DispatchHour {
+    unmet: f64,
+    supplied: f64,
+    curtailed: f64,
+    soc: f64,
+}
+
+/// Run-level totals of one dispatch.
+struct DispatchTotals {
+    discharged_mwh: f64,
+    equivalent_cycles: f64,
+}
+
+/// The greedy dispatch policy, written once for [`simulate_dispatch`] and
+/// [`simulate_dispatch_stats`]: resets `battery` to full, steps it through
+/// every hour of `demand`/`supply` (surplus charges, deficit discharges)
+/// and hands each hour, with that hour's item of `tags`, to `sink` in hour
+/// order. The two wrappers differ only in their sink, so the traced
+/// series and the streamed aggregates come from the same float operations.
+/// `tags` carries per-hour data only one sink needs (the stats fold's
+/// weight), zipped in so that sink indexes nothing.
+///
+/// Forced inline so each wrapper compiles the loop with its own sink in
+/// place and the stats path keeps none of the trace's per-hour work.
+// ce:hot
+#[inline(always)]
+fn dispatch_hours<B: BatteryModel + ?Sized, T>(
+    battery: &mut B,
+    demand: &[f64],
+    supply: &[f64],
+    tags: impl IntoIterator<Item = T>,
+    mut sink: impl FnMut(DispatchHour, T),
+) -> DispatchTotals {
+    battery.reset(1.0);
+    let mut discharged_mwh = 0.0;
+    for ((&d, &s), tag) in demand.iter().zip(supply).zip(tags) {
+        let (unmet, supplied, curtailed) = if s >= d {
+            // Surplus: charge with the excess, curtail the rest.
+            let surplus = s - d;
+            let accepted = battery.charge(surplus);
+            (0.0, 0.0, surplus - accepted)
+        } else {
+            // Deficit: discharge to cover as much as possible.
+            let deficit = d - s;
+            let delivered = battery.discharge(deficit);
+            discharged_mwh += delivered;
+            (deficit - delivered, delivered, 0.0)
+        };
+        let soc = battery.soc_mwh();
+        sink(
+            DispatchHour {
+                unmet,
+                supplied,
+                curtailed,
+                soc,
+            },
+            tag,
+        );
+    }
+    let usable = battery.usable_capacity_mwh();
+    DispatchTotals {
+        discharged_mwh,
+        equivalent_cycles: if usable > 0.0 {
+            discharged_mwh / usable
+        } else {
+            0.0
+        },
+    }
+}
+
 /// Simulates hour-by-hour dispatch of `battery` against a datacenter
 /// `demand` and renewable `supply` (both MW): surplus hours charge the
 /// battery, deficit hours discharge it.
@@ -67,52 +142,31 @@ pub fn simulate_dispatch(
     supply: &HourlySeries,
 ) -> Result<DispatchResult, TimeSeriesError> {
     demand.check_aligned(supply)?;
-    battery.reset(1.0);
-
     let len = demand.len();
-    let start = demand.start();
     let mut unmet = Vec::with_capacity(len);
     let mut supplied = Vec::with_capacity(len);
     let mut curtailed = Vec::with_capacity(len);
     let mut soc = Vec::with_capacity(len);
-    let mut total_discharged = 0.0;
-
-    for h in 0..len {
-        let d = demand[h];
-        let s = supply[h];
-        if s >= d {
-            // Surplus: charge with the excess, curtail the rest.
-            let surplus = s - d;
-            let accepted = battery.charge(surplus);
-            unmet.push(0.0);
-            supplied.push(0.0);
-            curtailed.push(surplus - accepted);
-        } else {
-            // Deficit: discharge to cover as much as possible.
-            let deficit = d - s;
-            let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            unmet.push(deficit - delivered);
-            supplied.push(delivered);
-            curtailed.push(0.0);
-        }
-        soc.push(battery.soc_mwh());
-    }
-
-    let usable = battery.usable_capacity_mwh();
-    let equivalent_cycles = if usable > 0.0 {
-        total_discharged / usable
-    } else {
-        0.0
-    };
-
+    let totals = dispatch_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        iter::repeat(()),
+        |hour, ()| {
+            unmet.push(hour.unmet);
+            supplied.push(hour.supplied);
+            curtailed.push(hour.curtailed);
+            soc.push(hour.soc);
+        },
+    );
+    let start = demand.start();
     Ok(DispatchResult {
         unmet: HourlySeries::from_values(start, unmet),
         battery_supplied: HourlySeries::from_values(start, supplied),
         curtailed: HourlySeries::from_values(start, curtailed),
         soc: HourlySeries::from_values(start, soc),
-        total_discharged_mwh: total_discharged,
-        equivalent_cycles,
+        total_discharged_mwh: totals.discharged_mwh,
+        equivalent_cycles: totals.equivalent_cycles,
     })
 }
 
@@ -135,18 +189,12 @@ pub struct DispatchStats {
     pub equivalent_cycles: f64,
 }
 
-/// Streaming variant of [`simulate_dispatch`]: steps the same greedy
-/// charge-on-surplus / discharge-on-deficit policy hour by hour, but folds
-/// the outputs into [`DispatchStats`] on the fly instead of materializing
-/// the four year-long `unmet`/`battery_supplied`/`curtailed`/`soc` series.
-/// This is the design-sweep hot path — it performs **zero heap
-/// allocations**.
-///
-/// Every accumulator folds in hour order, exactly as reducing
-/// [`simulate_dispatch`]'s `unmet` series afterwards would, so the results
-/// are bitwise-identical to the materializing path:
-/// `deficit.unmet_mwh == unmet.sum()`, `unmet_dot == unmet.dot(weight)`,
-/// and the cycle accounting matches field for field.
+/// [`simulate_dispatch`] folded into [`DispatchStats`] hour by hour
+/// instead of materialized into four year-long series. Both run the same
+/// kernel, so `deficit.unmet_mwh` and `unmet_dot` are the in-order
+/// reductions of [`simulate_dispatch`]'s `unmet` series, bit for bit, and
+/// the cycle accounting matches field for field. This is the
+/// design-sweep hot path — it performs **zero heap allocations**.
 ///
 /// The function is generic so concrete battery models are monomorphized
 /// (no virtual dispatch in the inner loop); `&mut dyn BatteryModel` still
@@ -165,50 +213,31 @@ pub fn simulate_dispatch_stats<B: BatteryModel + ?Sized>(
 ) -> Result<DispatchStats, TimeSeriesError> {
     demand.check_aligned(supply)?;
     demand.check_aligned(weight)?;
-    battery.reset(1.0);
-
     let mut unmet_mwh = 0.0;
     let mut covered_hours = 0usize;
     let mut unmet_dot = 0.0;
-    let mut total_discharged = 0.0;
-
-    // Zipped slice iterators: no per-hour bounds checks, same hour order
-    // and float-op order as indexed traversal.
-    let hours = demand
-        .values()
-        .iter()
-        .zip(supply.values())
-        .zip(weight.values());
-    for ((&d, &s), &wh) in hours {
-        let u = if s >= d {
-            battery.charge(s - d);
-            0.0
-        } else {
-            let deficit = d - s;
-            let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            deficit - delivered
-        };
-        unmet_mwh += u;
-        if u <= COVERED_EPSILON_MWH {
-            covered_hours += 1;
-        }
-        unmet_dot += u * wh;
-    }
-
-    let usable = battery.usable_capacity_mwh();
+    let totals = dispatch_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        weight.values(),
+        |hour, &wh| {
+            let u = hour.unmet;
+            unmet_mwh += u;
+            if u <= COVERED_EPSILON_MWH {
+                covered_hours += 1;
+            }
+            unmet_dot += u * wh;
+        },
+    );
     Ok(DispatchStats {
         deficit: DeficitStats {
             unmet_mwh,
             covered_hours,
         },
         unmet_dot,
-        total_discharged_mwh: total_discharged,
-        equivalent_cycles: if usable > 0.0 {
-            total_discharged / usable
-        } else {
-            0.0
-        },
+        total_discharged_mwh: totals.discharged_mwh,
+        equivalent_cycles: totals.equivalent_cycles,
     })
 }
 
@@ -335,52 +364,65 @@ mod tests {
 
     #[test]
     fn dispatch_stats_match_materialized_reductions_bitwise() {
-        let (demand, supply, weight) = stats_fixture();
-        // Ideal and CLC batteries, including zero-capacity and DoD floors.
-        let batteries: Vec<Box<dyn BatteryModel>> = vec![
-            Box::new(IdealBattery::new(30.0)),
-            Box::new(IdealBattery::new(0.0)),
-            Box::new(ClcBattery::lfp(30.0, 1.0)),
-            Box::new(ClcBattery::lfp(30.0, 0.6)),
-            Box::new(ClcBattery::sodium_ion(15.0, 0.8)),
+        // The year-like fixture, and a single deficit hour that is both
+        // the first and the last hour of its run.
+        let fixtures = [
+            stats_fixture(),
+            (
+                HourlySeries::constant(start(), 1, 50.0),
+                HourlySeries::constant(start(), 1, 4.0),
+                HourlySeries::constant(start(), 1, 0.7),
+            ),
         ];
-        for mut battery in batteries {
-            let full = simulate_dispatch(battery.as_mut(), &demand, &supply).unwrap();
-            let stats =
-                simulate_dispatch_stats(battery.as_mut(), &demand, &supply, &weight).unwrap();
-            assert_eq!(
-                stats.deficit.unmet_mwh.to_bits(),
-                full.unmet.sum().to_bits(),
-                "unmet energy diverged"
-            );
-            assert_eq!(
-                stats.deficit.covered_hours,
-                full.unmet.count_where(|u| u <= COVERED_EPSILON_MWH),
-                "covered hours diverged"
-            );
-            // The streaming fold accumulates u·w hour by hour, so the
-            // oracle is a sequential in-order sum (HourlySeries::dot uses
-            // the lane-chunked reduction order and would diverge bitwise).
-            let sequential_dot: f64 = full
-                .unmet
-                .zip_with(&weight, |u, w| u * w)
-                .unwrap()
-                .values()
-                .iter()
-                .sum();
-            assert_eq!(
-                stats.unmet_dot.to_bits(),
-                sequential_dot.to_bits(),
-                "weighted grid draw diverged"
-            );
-            assert_eq!(
-                stats.total_discharged_mwh.to_bits(),
-                full.total_discharged_mwh.to_bits()
-            );
-            assert_eq!(
-                stats.equivalent_cycles.to_bits(),
-                full.equivalent_cycles.to_bits()
-            );
+        for (demand, supply, weight) in &fixtures {
+            // Ideal and CLC batteries, including zero-capacity and DoD
+            // floors.
+            let batteries: Vec<Box<dyn BatteryModel>> = vec![
+                Box::new(IdealBattery::new(30.0)),
+                Box::new(IdealBattery::new(0.0)),
+                Box::new(ClcBattery::lfp(30.0, 1.0)),
+                Box::new(ClcBattery::lfp(30.0, 0.6)),
+                Box::new(ClcBattery::sodium_ion(15.0, 0.8)),
+            ];
+            for mut battery in batteries {
+                let full = simulate_dispatch(battery.as_mut(), demand, supply).unwrap();
+                let stats =
+                    simulate_dispatch_stats(battery.as_mut(), demand, supply, weight).unwrap();
+                assert_eq!(
+                    stats.deficit.unmet_mwh.to_bits(),
+                    full.unmet.sum().to_bits(),
+                    "unmet energy diverged"
+                );
+                assert_eq!(
+                    stats.deficit.covered_hours,
+                    full.unmet.count_where(|u| u <= COVERED_EPSILON_MWH),
+                    "covered hours diverged"
+                );
+                // The streaming fold accumulates u·w hour by hour, so the
+                // oracle is a sequential in-order sum (HourlySeries::dot
+                // uses the lane-chunked reduction order and would diverge
+                // bitwise).
+                let sequential_dot: f64 = full
+                    .unmet
+                    .zip_with(weight, |u, w| u * w)
+                    .unwrap()
+                    .values()
+                    .iter()
+                    .sum();
+                assert_eq!(
+                    stats.unmet_dot.to_bits(),
+                    sequential_dot.to_bits(),
+                    "weighted grid draw diverged"
+                );
+                assert_eq!(
+                    stats.total_discharged_mwh.to_bits(),
+                    full.total_discharged_mwh.to_bits()
+                );
+                assert_eq!(
+                    stats.equivalent_cycles.to_bits(),
+                    full.equivalent_cycles.to_bits()
+                );
+            }
         }
     }
 

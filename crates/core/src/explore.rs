@@ -463,8 +463,8 @@ impl CarbonExplorer {
     /// [`CarbonExplorer::evaluate_with`] would have recomputed. For the
     /// CAS strategy the per-day cost sort is hoisted the same way: the
     /// group's [`CostOrder`] is rebuilt once alongside its supply and
-    /// every sub-point schedules through the cached permutations, which
-    /// reproduce the sorting path's stable order exactly.
+    /// every sub-point schedules through the cached permutations, the
+    /// same ones [`GreedyScheduler::schedule`] ranks per call.
     #[must_use]
     pub fn explore(&self, strategy: StrategyKind, space: &DesignSpace) -> Vec<EvaluatedDesign> {
         let space = space.restricted_to(strategy);

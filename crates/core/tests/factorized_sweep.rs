@@ -16,7 +16,7 @@ use ce_battery::{
 use ce_core::{CarbonExplorer, DesignSpace, StrategyKind};
 use ce_datacenter::Fleet;
 use ce_grid::GridDataset;
-use ce_scheduler::{CasConfig, GreedyScheduler, ScheduleScratch};
+use ce_scheduler::{CasConfig, GreedyScheduler};
 use ce_timeseries::kernels::{self, COVERED_EPSILON_MWH};
 
 fn explorer(state: &str) -> CarbonExplorer {
@@ -78,12 +78,12 @@ fn factorized_explore_is_bitwise_identical_to_serial_on_uneven_grid() {
 /// The sweep engine schedules CAS points through the cached per-day cost
 /// permutations (`CostOrder`), rebuilt once per supply group. That cache
 /// must be a pure optimization: every evaluation must match what the
-/// original per-point sorting scheduler (`schedule_with`, which re-sorts
-/// each day's hours by insertion sort) produces, bit for bit. The other
-/// three strategies never touch the cache; the all-strategy
+/// figure path (`GreedyScheduler::schedule`, which ranks a fresh
+/// `CostOrder` per call) produces for the same design, bit for bit. The
+/// other three strategies never touch the cache; the all-strategy
 /// serial-vs-factorized test above pins them across the same grid.
 #[test]
-fn cached_cost_order_matches_sorting_scheduler_on_uneven_grid() {
+fn cas_sweep_matches_figure_path_scheduler_on_uneven_grid() {
     let explorer = explorer("UT");
     let space = uneven_space();
     let evals = explorer.explore(StrategyKind::RenewablesCas, &space);
@@ -93,7 +93,6 @@ fn cached_cost_order_matches_sorting_scheduler_on_uneven_grid() {
     let intensity = explorer.grid_intensity();
     let peak = demand.max().unwrap_or(0.0);
     let flexible = explorer.workload().flexible_fraction();
-    let mut scratch = ScheduleScratch::default();
     for eval in &evals {
         let supply = explorer
             .grid()
@@ -102,24 +101,22 @@ fn cached_cost_order_matches_sorting_scheduler_on_uneven_grid() {
             max_capacity_mw: peak * (1.0 + eval.design.extra_capacity_fraction),
             flexible_ratio: flexible,
         });
-        scheduler
-            .schedule_with(demand, &supply, &mut scratch)
-            .expect("aligned");
+        let shifted = scheduler.schedule(demand, &supply).expect("aligned");
         let (stats, operational) = kernels::deficit_stats_dot_slices(
-            scratch.shifted(),
+            shifted.shifted_demand.values(),
             supply.values(),
             intensity.values(),
         );
         assert_eq!(
             operational.to_bits(),
             eval.operational_tons.to_bits(),
-            "{}: cached-order operational tons diverged from sorting path",
+            "{}: sweep operational tons diverged from figure path",
             eval.design
         );
         assert_eq!(
             stats.unmet_mwh.to_bits(),
             eval.coverage.unmet_mwh().to_bits(),
-            "{}: cached-order unmet energy diverged from sorting path",
+            "{}: sweep unmet energy diverged from figure path",
             eval.design
         );
     }

@@ -17,6 +17,7 @@ use ce_timeseries::kernels::COVERED_EPSILON_MWH;
 use ce_timeseries::{DeficitStats, HourlySeries, TimeSeriesError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::iter;
 
 /// Configuration for the combined battery + CAS dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,52 +63,96 @@ pub struct CombinedResult {
     pub equivalent_cycles: f64,
 }
 
-/// Runs the combined heuristic over aligned `demand` and `supply` series.
+/// Reusable state for [`combined_dispatch_stats`]: the deferred-work
+/// backlog queue, kept warm across calls so the sweep hot path performs no
+/// heap allocation once the queue has grown to its working size.
+#[derive(Debug, Clone, Default)]
+pub struct CombinedScratch {
+    backlog: VecDeque<(usize, f64)>,
+}
+
+/// Energy waiting in the deferral backlog, MWh. Folded from +0.0:
+/// `Iterator::sum` of an empty backlog is −0.0, and `f64::max(0.0, -0.0)`
+/// may return either zero, which would leave the sign of
+/// `peak_backlog_mwh` to codegen. Entries are always > 1e-12, so a
+/// non-empty backlog sums to the same bits either way.
+#[inline]
+fn backlog_mwh(backlog: &VecDeque<(usize, f64)>) -> f64 {
+    backlog.iter().fold(0.0, |acc, &(_, e)| acc + e)
+}
+
+/// One hour of the combined heuristic, as [`combined_hours`] hands it to a
+/// sink: grid draw (on the final hour, including the forced leftover
+/// backlog), post-scheduling load, battery output and curtailed surplus
+/// (MW), and the state of charge at the end of the hour (MWh).
+#[derive(Clone, Copy)]
+struct CombinedHour {
+    unmet: f64,
+    effective: f64,
+    supplied: f64,
+    curtailed: f64,
+    soc: f64,
+}
+
+/// Run-level totals of one combined dispatch.
+struct CombinedTotals {
+    deferred_mwh: f64,
+    forced_mwh: f64,
+    peak_backlog_mwh: f64,
+    discharged_mwh: f64,
+    equivalent_cycles: f64,
+}
+
+/// The battery-first / defer-second heuristic, written once for
+/// [`combined_dispatch`] and [`combined_dispatch_stats`]: resets `battery`
+/// to full, steps every hour of `demand`/`supply` and hands it, with that
+/// hour's item of `tags`, to `sink` in hour order. Work still in the
+/// backlog at the end of the horizon is forced onto the final hour's grid
+/// draw (conservative accounting) before the sink sees that hour, so
+/// neither wrapper patches or holds back a last hour. `tags` carries
+/// per-hour data only one sink needs (the stats fold's weight), zipped in
+/// so that sink indexes nothing.
 ///
-/// The battery starts full (commissioning charge), as in
-/// [`ce_battery::simulate_dispatch`].
-///
-/// # Errors
-///
-/// Returns an alignment error if the series are misaligned.
+/// Forced inline so each wrapper compiles the loop with its own sink in
+/// place and the stats path keeps none of the trace's per-hour work.
 ///
 /// # Panics
 ///
 /// Panics if `config.flexible_ratio` is outside `[0, 1]` or
 /// `config.window_hours` is zero.
-pub fn combined_dispatch(
-    battery: &mut dyn BatteryModel,
-    demand: &HourlySeries,
-    supply: &HourlySeries,
+// ce:hot
+#[inline(always)]
+fn combined_hours<B: BatteryModel + ?Sized, T>(
+    battery: &mut B,
+    demand: &[f64],
+    supply: &[f64],
+    tags: impl IntoIterator<Item = T>,
     config: CombinedConfig,
-) -> Result<CombinedResult, TimeSeriesError> {
+    scratch: &mut CombinedScratch,
+    mut sink: impl FnMut(CombinedHour, T),
+) -> CombinedTotals {
     assert!(
         (0.0..=1.0).contains(&config.flexible_ratio),
         "flexible ratio must be in [0, 1]"
     );
     assert!(config.window_hours > 0, "window must be at least one hour");
-    demand.check_aligned(supply)?;
     battery.reset(1.0);
+    // FIFO of (deadline_hour, energy_mwh) deferred jobs.
+    let backlog = &mut scratch.backlog;
+    backlog.clear();
 
     let len = demand.len();
-    let start = demand.start();
-    let mut unmet = vec![0.0; len];
-    let mut effective = vec![0.0; len];
-    let mut supplied = vec![0.0; len];
-    let mut curtailed = vec![0.0; len];
-    let mut soc = vec![0.0; len];
-    let mut deferred_total = 0.0;
-    let mut forced_total = 0.0;
-    let mut peak_backlog = 0.0f64;
-    let mut total_discharged = 0.0;
+    let mut deferred_mwh = 0.0;
+    let mut forced_mwh = 0.0;
+    let mut peak_backlog_mwh = 0.0f64;
+    let mut discharged_mwh = 0.0;
 
-    // FIFO of (deadline_hour, energy_mwh) deferred jobs.
-    let mut backlog: VecDeque<(usize, f64)> = VecDeque::new();
-
-    for h in 0..len {
-        let d = demand[h];
-        let s = supply[h];
+    let hours = demand.iter().zip(supply).zip(tags).enumerate();
+    for (h, ((&d, &s), tag)) in hours {
         let mut load = d;
+        let mut unmet = 0.0;
+        let mut supplied = 0.0;
+        let mut curtailed = 0.0;
 
         // SLO enforcement: any deferred work whose deadline is this hour
         // must run now, whatever the energy source.
@@ -115,7 +160,7 @@ pub fn combined_dispatch(
             if deadline <= h {
                 backlog.pop_front();
                 load += energy;
-                forced_total += energy;
+                forced_mwh += energy;
             } else {
                 break;
             }
@@ -140,13 +185,13 @@ pub fn combined_dispatch(
             }
             // Then charge the battery; curtail the rest.
             let accepted = battery.charge(surplus);
-            curtailed[h] = surplus - accepted;
+            curtailed = surplus - accepted;
         } else {
             // Deficit: battery first.
             let mut deficit = load - s;
             let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            supplied[h] = delivered;
+            discharged_mwh += delivered;
+            supplied = delivered;
             deficit -= delivered;
             if deficit > 1e-12 {
                 // Battery insufficient: defer what flexibility allows.
@@ -155,65 +200,102 @@ pub fn combined_dispatch(
                 let deferrable = (d * config.flexible_ratio).min(deficit);
                 if deferrable > 1e-12 {
                     backlog.push_back((h + config.window_hours, deferrable));
-                    deferred_total += deferrable;
+                    deferred_mwh += deferrable;
                     load -= deferrable;
                     deficit -= deferrable;
                 }
-                unmet[h] = deficit;
+                unmet = deficit;
             }
         }
 
-        effective[h] = load;
-        soc[h] = battery.soc_mwh();
-        let backlog_now = backlog_mwh(&backlog);
-        peak_backlog = peak_backlog.max(backlog_now);
-    }
-
-    // Anything still in the backlog at the end of the horizon is forced
-    // onto grid energy (conservative accounting).
-    let leftover = backlog_mwh(&backlog);
-    if let Some(last) = unmet.last_mut() {
-        *last += leftover;
-        forced_total += leftover;
-    }
-    if let Some(last) = effective.last_mut() {
-        *last += leftover;
+        let backlog_now = backlog_mwh(backlog);
+        peak_backlog_mwh = peak_backlog_mwh.max(backlog_now);
+        if h + 1 == len {
+            // End of the horizon: the leftover backlog runs on grid
+            // energy in the final hour.
+            unmet += backlog_now;
+            load += backlog_now;
+            forced_mwh += backlog_now;
+        }
+        sink(
+            CombinedHour {
+                unmet,
+                effective: load,
+                supplied,
+                curtailed,
+                soc: battery.soc_mwh(),
+            },
+            tag,
+        );
     }
 
     let usable = battery.usable_capacity_mwh();
+    CombinedTotals {
+        deferred_mwh,
+        forced_mwh,
+        peak_backlog_mwh,
+        discharged_mwh,
+        equivalent_cycles: if usable > 0.0 {
+            discharged_mwh / usable
+        } else {
+            0.0
+        },
+    }
+}
+
+/// Runs the combined heuristic over aligned `demand` and `supply` series.
+///
+/// The battery starts full (commissioning charge), as in
+/// [`ce_battery::simulate_dispatch`].
+///
+/// # Errors
+///
+/// Returns an alignment error if the series are misaligned.
+///
+/// # Panics
+///
+/// Panics if `config.flexible_ratio` is outside `[0, 1]` or
+/// `config.window_hours` is zero.
+pub fn combined_dispatch(
+    battery: &mut dyn BatteryModel,
+    demand: &HourlySeries,
+    supply: &HourlySeries,
+    config: CombinedConfig,
+) -> Result<CombinedResult, TimeSeriesError> {
+    demand.check_aligned(supply)?;
+    let len = demand.len();
+    let mut unmet = Vec::with_capacity(len);
+    let mut effective = Vec::with_capacity(len);
+    let mut supplied = Vec::with_capacity(len);
+    let mut curtailed = Vec::with_capacity(len);
+    let mut soc = Vec::with_capacity(len);
+    let totals = combined_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        iter::repeat(()),
+        config,
+        &mut CombinedScratch::default(),
+        |hour, ()| {
+            unmet.push(hour.unmet);
+            effective.push(hour.effective);
+            supplied.push(hour.supplied);
+            curtailed.push(hour.curtailed);
+            soc.push(hour.soc);
+        },
+    );
+    let start = demand.start();
     Ok(CombinedResult {
         unmet: HourlySeries::from_values(start, unmet),
         effective_demand: HourlySeries::from_values(start, effective),
         battery_supplied: HourlySeries::from_values(start, supplied),
         curtailed: HourlySeries::from_values(start, curtailed),
         soc: HourlySeries::from_values(start, soc),
-        deferred_mwh: deferred_total,
-        forced_mwh: forced_total,
-        peak_backlog_mwh: peak_backlog,
-        equivalent_cycles: if usable > 0.0 {
-            total_discharged / usable
-        } else {
-            0.0
-        },
+        deferred_mwh: totals.deferred_mwh,
+        forced_mwh: totals.forced_mwh,
+        peak_backlog_mwh: totals.peak_backlog_mwh,
+        equivalent_cycles: totals.equivalent_cycles,
     })
-}
-
-/// Reusable state for [`combined_dispatch_stats`]: the deferred-work
-/// backlog queue, kept warm across calls so the sweep hot path performs no
-/// heap allocation once the queue has grown to its working size.
-#[derive(Debug, Clone, Default)]
-pub struct CombinedScratch {
-    backlog: VecDeque<(usize, f64)>,
-}
-
-/// Energy waiting in the deferral backlog, MWh. Folded from +0.0:
-/// `Iterator::sum` of an empty backlog is −0.0, and `f64::max(0.0, -0.0)`
-/// may return either zero, which would leave the sign of
-/// `peak_backlog_mwh` to codegen. Entries are always > 1e-12, so a
-/// non-empty backlog sums to the same bits either way.
-#[inline]
-fn backlog_mwh(backlog: &VecDeque<(usize, f64)>) -> f64 {
-    backlog.iter().fold(0.0, |acc, &(_, e)| acc + e)
 }
 
 /// The sweep-relevant aggregates of a combined battery + CAS dispatch,
@@ -240,20 +322,13 @@ pub struct CombinedStats {
     pub equivalent_cycles: f64,
 }
 
-/// Streaming variant of [`combined_dispatch`]: runs the same
-/// battery-first / defer-second heuristic hour by hour, but folds the
-/// outputs into [`CombinedStats`] on the fly instead of materializing the
-/// five year-long `unmet`/`effective_demand`/`battery_supplied`/
-/// `curtailed`/`soc` series. The only state beyond scalars is the
+/// [`combined_dispatch`] folded into [`CombinedStats`] hour by hour
+/// instead of materialized into five year-long series. Both run the same
+/// kernel, so `deficit.unmet_mwh` and `unmet_dot` are the in-order
+/// reductions of [`combined_dispatch`]'s `unmet` series (end-of-horizon
+/// backlog included), bit for bit, and the deferral/cycle accounting
+/// matches field for field. The only state beyond scalars is the
 /// deferred-work queue, which lives in the caller-owned `scratch`.
-///
-/// Every accumulator folds in hour order — with the final hour's grid
-/// draw folded after the end-of-horizon backlog is forced onto it,
-/// exactly as [`combined_dispatch`] patches its last `unmet` sample — so
-/// the results are bitwise-identical to reducing the materializing path's
-/// series: `deficit.unmet_mwh == unmet.sum()`,
-/// `unmet_dot == unmet.dot(weight)`, and the deferral/cycle accounting
-/// matches field for field.
 ///
 /// The function is generic so concrete battery models are monomorphized
 /// (no virtual dispatch in the inner loop); `&mut dyn BatteryModel` still
@@ -277,130 +352,38 @@ pub fn combined_dispatch_stats<B: BatteryModel + ?Sized>(
     config: CombinedConfig,
     scratch: &mut CombinedScratch,
 ) -> Result<CombinedStats, TimeSeriesError> {
-    assert!(
-        (0.0..=1.0).contains(&config.flexible_ratio),
-        "flexible ratio must be in [0, 1]"
-    );
-    assert!(config.window_hours > 0, "window must be at least one hour");
     demand.check_aligned(supply)?;
     demand.check_aligned(weight)?;
-    battery.reset(1.0);
-
-    let len = demand.len();
-    let w = weight.values();
-    let backlog = &mut scratch.backlog;
-    backlog.clear();
-
     let mut unmet_mwh = 0.0;
     let mut covered_hours = 0usize;
     let mut unmet_dot = 0.0;
-    let mut deferred_total = 0.0;
-    let mut forced_total = 0.0;
-    let mut peak_backlog = 0.0f64;
-    let mut total_discharged = 0.0;
-    // The final hour's grid draw is held back: the end-of-horizon backlog
-    // is forced onto it before it is folded, mirroring the materializing
-    // path's `*unmet.last_mut() += leftover`.
-    let mut last_unmet = 0.0;
-
-    for h in 0..len {
-        let d = demand[h];
-        let s = supply[h];
-        let mut load = d;
-        let mut unmet_now = 0.0;
-
-        // SLO enforcement: any deferred work whose deadline is this hour
-        // must run now, whatever the energy source.
-        while let Some(&(deadline, energy)) = backlog.front() {
-            if deadline <= h {
-                backlog.pop_front();
-                load += energy;
-                forced_total += energy;
-            } else {
-                break;
-            }
-        }
-
-        if s >= load {
-            // Surplus: run deferred work first, newest-deadline last.
-            let mut surplus = s - load;
-            let mut headroom = (config.max_capacity_mw - load).max(0.0);
-            while surplus > 1e-12 && headroom > 1e-12 {
-                let Some((deadline, energy)) = backlog.pop_front() else {
-                    break;
-                };
-                let run = energy.min(surplus).min(headroom);
-                surplus -= run;
-                headroom -= run;
-                let remainder = energy - run;
-                if remainder > 1e-12 {
-                    backlog.push_front((deadline, remainder));
-                }
-            }
-            // Then charge the battery (the curtailed remainder is not
-            // tracked here).
-            battery.charge(surplus);
-        } else {
-            // Deficit: battery first.
-            let mut deficit = load - s;
-            let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            deficit -= delivered;
-            if deficit > 1e-12 {
-                // Battery insufficient: defer what flexibility allows.
-                let deferrable = (d * config.flexible_ratio).min(deficit);
-                if deferrable > 1e-12 {
-                    backlog.push_back((h + config.window_hours, deferrable));
-                    deferred_total += deferrable;
-                    deficit -= deferrable;
-                }
-                unmet_now = deficit;
-            }
-        }
-
-        let backlog_now = backlog_mwh(backlog);
-        peak_backlog = peak_backlog.max(backlog_now);
-
-        if h + 1 == len {
-            last_unmet = unmet_now;
-        } else {
-            unmet_mwh += unmet_now;
-            if unmet_now <= COVERED_EPSILON_MWH {
+    let totals = combined_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        weight.values(),
+        config,
+        scratch,
+        |hour, &wh| {
+            let u = hour.unmet;
+            unmet_mwh += u;
+            if u <= COVERED_EPSILON_MWH {
                 covered_hours += 1;
             }
-            unmet_dot += unmet_now * w[h];
-        }
-    }
-
-    // Anything still in the backlog at the end of the horizon is forced
-    // onto grid energy (conservative accounting) via the final hour.
-    if len > 0 {
-        let leftover = backlog_mwh(backlog);
-        let u = last_unmet + leftover;
-        forced_total += leftover;
-        unmet_mwh += u;
-        if u <= COVERED_EPSILON_MWH {
-            covered_hours += 1;
-        }
-        unmet_dot += u * w[len - 1];
-    }
-
-    let usable = battery.usable_capacity_mwh();
+            unmet_dot += u * wh;
+        },
+    );
     Ok(CombinedStats {
         deficit: DeficitStats {
             unmet_mwh,
             covered_hours,
         },
         unmet_dot,
-        deferred_mwh: deferred_total,
-        forced_mwh: forced_total,
-        peak_backlog_mwh: peak_backlog,
-        total_discharged_mwh: total_discharged,
-        equivalent_cycles: if usable > 0.0 {
-            total_discharged / usable
-        } else {
-            0.0
-        },
+        deferred_mwh: totals.deferred_mwh,
+        forced_mwh: totals.forced_mwh,
+        peak_backlog_mwh: totals.peak_backlog_mwh,
+        total_discharged_mwh: totals.discharged_mwh,
+        equivalent_cycles: totals.equivalent_cycles,
     })
 }
 
@@ -498,6 +481,16 @@ mod tests {
         // 4 MWh deferred, never runnable → forced at the end.
         assert!((r.unmet.sum() - 10.0).abs() < 1e-9);
         assert!((r.forced_mwh - 4.0).abs() < 1e-9);
+        // A one-hour run: the first hour is also the last, so its own
+        // deferral is forced straight back onto it.
+        let demand = HourlySeries::constant(start(), 1, 10.0);
+        let supply = HourlySeries::constant(start(), 1, 1.0);
+        let r = combined_dispatch(&mut battery, &demand, &supply, cfg(0.4)).unwrap();
+        assert_eq!(r.deferred_mwh, 4.0);
+        assert_eq!(r.forced_mwh, 4.0);
+        assert_eq!(r.peak_backlog_mwh, 4.0);
+        assert_eq!(r.unmet.values(), &[9.0]);
+        assert_eq!(r.effective_demand.values(), &[10.0]);
     }
 
     #[test]
@@ -567,10 +560,21 @@ mod tests {
     #[test]
     fn stats_match_materialized_reductions_bitwise() {
         // Irregular demand/supply that exercises forced deadlines, partial
-        // backlog draining, battery clamping, and leftover forcing.
-        let demand = HourlySeries::from_fn(start(), 200, |h| 5.0 + ((h * 13) % 11) as f64);
-        let supply = HourlySeries::from_fn(start(), 200, |h| ((h * 29) % 23) as f64);
-        let weight = HourlySeries::from_fn(start(), 200, |h| 0.2 + (h % 24) as f64 * 0.02);
+        // backlog draining, battery clamping, and leftover forcing; and a
+        // single deficit hour, both the first and the last of its run,
+        // whose deferred work is forced back onto that same hour.
+        let fixtures = [
+            (
+                HourlySeries::from_fn(start(), 200, |h| 5.0 + ((h * 13) % 11) as f64),
+                HourlySeries::from_fn(start(), 200, |h| ((h * 29) % 23) as f64),
+                HourlySeries::from_fn(start(), 200, |h| 0.2 + (h % 24) as f64 * 0.02),
+            ),
+            (
+                HourlySeries::constant(start(), 1, 10.0),
+                HourlySeries::constant(start(), 1, 1.0),
+                HourlySeries::constant(start(), 1, 0.3),
+            ),
+        ];
         let configs = [
             cfg(0.4),
             cfg(1.0),
@@ -580,57 +584,60 @@ mod tests {
                 window_hours: 3,
             },
         ];
-        for config in configs {
-            for capacity in [0.0, 8.0, 40.0] {
-                let mut full_battery = ClcBattery::lfp(capacity, 0.9);
-                let full = combined_dispatch(&mut full_battery, &demand, &supply, config).unwrap();
-                let mut stats_battery = ClcBattery::lfp(capacity, 0.9);
-                let mut scratch = CombinedScratch::default();
-                let stats = combined_dispatch_stats(
-                    &mut stats_battery,
-                    &demand,
-                    &supply,
-                    &weight,
-                    config,
-                    &mut scratch,
-                )
-                .unwrap();
-                assert_eq!(
-                    stats.deficit.unmet_mwh.to_bits(),
-                    full.unmet.sum().to_bits(),
-                    "unmet energy diverged (cap {capacity})"
-                );
-                assert_eq!(
-                    stats.deficit.covered_hours,
-                    full.unmet.count_where(|u| u <= COVERED_EPSILON_MWH),
-                    "covered hours diverged (cap {capacity})"
-                );
-                // The streaming fold accumulates u·w hour by hour, so the
-                // oracle is a sequential in-order sum (HourlySeries::dot
-                // uses the lane-chunked reduction order and would diverge
-                // bitwise).
-                let sequential_dot: f64 = full
-                    .unmet
-                    .zip_with(&weight, |u, w| u * w)
-                    .unwrap()
-                    .values()
-                    .iter()
-                    .sum();
-                assert_eq!(
-                    stats.unmet_dot.to_bits(),
-                    sequential_dot.to_bits(),
-                    "weighted grid draw diverged (cap {capacity})"
-                );
-                assert_eq!(stats.deferred_mwh.to_bits(), full.deferred_mwh.to_bits());
-                assert_eq!(stats.forced_mwh.to_bits(), full.forced_mwh.to_bits());
-                assert_eq!(
-                    stats.peak_backlog_mwh.to_bits(),
-                    full.peak_backlog_mwh.to_bits()
-                );
-                assert_eq!(
-                    stats.equivalent_cycles.to_bits(),
-                    full.equivalent_cycles.to_bits()
-                );
+        for (demand, supply, weight) in &fixtures {
+            for config in configs {
+                for capacity in [0.0, 8.0, 40.0] {
+                    let mut full_battery = ClcBattery::lfp(capacity, 0.9);
+                    let full =
+                        combined_dispatch(&mut full_battery, demand, supply, config).unwrap();
+                    let mut stats_battery = ClcBattery::lfp(capacity, 0.9);
+                    let mut scratch = CombinedScratch::default();
+                    let stats = combined_dispatch_stats(
+                        &mut stats_battery,
+                        demand,
+                        supply,
+                        weight,
+                        config,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        stats.deficit.unmet_mwh.to_bits(),
+                        full.unmet.sum().to_bits(),
+                        "unmet energy diverged (cap {capacity})"
+                    );
+                    assert_eq!(
+                        stats.deficit.covered_hours,
+                        full.unmet.count_where(|u| u <= COVERED_EPSILON_MWH),
+                        "covered hours diverged (cap {capacity})"
+                    );
+                    // The streaming fold accumulates u·w hour by hour, so
+                    // the oracle is a sequential in-order sum
+                    // (HourlySeries::dot uses the lane-chunked reduction
+                    // order and would diverge bitwise).
+                    let sequential_dot: f64 = full
+                        .unmet
+                        .zip_with(weight, |u, w| u * w)
+                        .unwrap()
+                        .values()
+                        .iter()
+                        .sum();
+                    assert_eq!(
+                        stats.unmet_dot.to_bits(),
+                        sequential_dot.to_bits(),
+                        "weighted grid draw diverged (cap {capacity})"
+                    );
+                    assert_eq!(stats.deferred_mwh.to_bits(), full.deferred_mwh.to_bits());
+                    assert_eq!(stats.forced_mwh.to_bits(), full.forced_mwh.to_bits());
+                    assert_eq!(
+                        stats.peak_backlog_mwh.to_bits(),
+                        full.peak_backlog_mwh.to_bits()
+                    );
+                    assert_eq!(
+                        stats.equivalent_cycles.to_bits(),
+                        full.equivalent_cycles.to_bits()
+                    );
+                }
             }
         }
     }

@@ -28,27 +28,17 @@ pub struct ScheduleResult {
     pub energy_shifted_mwh: f64,
 }
 
-/// Reusable buffers for [`GreedyScheduler::schedule_with`] /
-/// [`GreedyScheduler::schedule_by_cost_with`].
+/// Reusable output buffer for [`GreedyScheduler::schedule_with_order`].
 ///
-/// A scheduling run needs a year-long shifted-load buffer, a year-long
-/// cost buffer, and a day-long ranking buffer; sweep loops that allocate
-/// them per call churn megabytes per design point. A default-constructed
-/// scratch sizes its buffers lazily on first use and reuses them for every
-/// subsequent call, so steady-state scheduling performs no heap
+/// A scheduling run writes a year-long shifted load; sweep loops that
+/// allocated it per call would churn megabytes per design point. A
+/// default-constructed scratch sizes its buffer on first use and reuses it
+/// for every subsequent call, so steady-state scheduling performs no heap
 /// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     /// Post-scheduling load, one value per input hour.
     shifted: Vec<f64>,
-    /// Per-hour cost signal (renewable deficit `d − s` for
-    /// [`GreedyScheduler::schedule_with`]).
-    cost: Vec<f64>,
-    /// Per-day hour indices ranked by cost.
-    order: Vec<u32>,
-    /// Sort workspace: packed `(total_cmp-ordered cost bits, hour)` keys
-    /// for one day, mirroring [`CostOrder::rebuild_orders`].
-    sort_keys: Vec<u128>,
 }
 
 impl ScheduleScratch {
@@ -63,19 +53,18 @@ impl ScheduleScratch {
 /// Precomputed per-day cost permutations (plus the cost signal they rank),
 /// reusable across every scheduling run that shares the cost series.
 ///
-/// `schedule_day`'s dominant work is ranking the day's hours by cost —
-/// the cost series depends only on demand and supply, yet the per-point
-/// sweep path re-sorted it for every battery/CAS design point in a supply
-/// group. Building a `CostOrder` once per group and scheduling through
-/// [`GreedyScheduler::schedule_with_order`] /
-/// [`GreedyScheduler::schedule_by_cost_with_order`] hoists both the cost
-/// fill and the 365 daily sorts out of the per-point path.
+/// Ranking each day's hours by cost is the dominant work of a scheduling
+/// run, and the cost depends only on demand and supply (or on the given
+/// cost signal), not on the scheduler's capacity or flexibility. Every
+/// scheduling run replays a `CostOrder`: [`GreedyScheduler::schedule`]
+/// and [`GreedyScheduler::schedule_by_cost`] build a fresh one per call,
+/// while sweep loops build one per supply group and schedule every design
+/// point in the group through [`GreedyScheduler::schedule_with_order`].
 ///
-/// The stored permutation of each full day is exactly the stable sort by
-/// `f64::total_cmp` that the uncached path's insertion sort produces
-/// (ties keep hour order), so cached and uncached scheduling are
-/// bitwise-identical; a trailing partial day is excluded, mirroring the
-/// schedulers. Buffers are reused across `rebuild_*` calls, so a warm
+/// The stored permutation of each full day is the stable sort of its hour
+/// indices by `f64::total_cmp` of their cost (ties keep hour order); a
+/// trailing partial day is excluded, as the scheduler leaves it
+/// untouched. Buffers are reused across `rebuild_*` calls, so a warm
 /// `CostOrder` re-ranks without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct CostOrder {
@@ -205,7 +194,7 @@ impl CostOrder {
 /// Maps a cost onto bits whose plain unsigned order is `f64::total_cmp`
 /// order: `total_cmp` compares sign-magnitude bit patterns mapped to
 /// two's complement, so flipping all bits of negatives and the sign bit
-/// of non-negatives linearizes it. Shared by both packed-key day sorts.
+/// of non-negatives linearizes it.
 // ce:hot
 fn ordered_bits(cost: f64) -> u64 {
     let bits = cost.to_bits();
@@ -282,7 +271,9 @@ impl GreedyScheduler {
     /// Schedules against a renewable `supply` series: load moves from the
     /// hours with the deepest renewable deficit to the hours with the most
     /// surplus (equivalently, from high to low carbon intensity when the
-    /// marginal grid fuel is fixed).
+    /// marginal grid fuel is fixed). Ranks the renewable deficit `d − s`
+    /// into a fresh [`CostOrder`] and replays it, exactly as
+    /// [`GreedyScheduler::schedule_with_order`] does for a sweep.
     ///
     /// # Errors
     ///
@@ -292,60 +283,14 @@ impl GreedyScheduler {
         demand: &HourlySeries,
         supply: &HourlySeries,
     ) -> Result<ScheduleResult, TimeSeriesError> {
-        let mut scratch = ScheduleScratch::default();
-        let energy_shifted_mwh = self.schedule_with(demand, supply, &mut scratch)?;
-        Ok(ScheduleResult {
-            shifted_demand: HourlySeries::from_values(demand.start(), scratch.shifted),
-            energy_shifted_mwh,
-        })
-    }
-
-    /// [`GreedyScheduler::schedule`] into caller-owned buffers: the
-    /// post-scheduling load lands in `scratch.shifted()` and the total
-    /// energy moved is returned, with no per-call allocation once the
-    /// scratch is warm. Results are bitwise-identical to
-    /// [`GreedyScheduler::schedule`], which is a thin wrapper over this.
-    ///
-    /// # Errors
-    ///
-    /// Returns an alignment error if the series are misaligned.
-    // ce:hot
-    pub fn schedule_with(
-        &self,
-        demand: &HourlySeries,
-        supply: &HourlySeries,
-        scratch: &mut ScheduleScratch,
-    ) -> Result<f64, TimeSeriesError> {
-        demand.check_aligned(supply)?;
-        let ScheduleScratch {
-            shifted,
-            cost,
-            order,
-            sort_keys,
-        } = scratch;
-        shifted.clear();
-        shifted.extend_from_slice(demand.values());
-        cost.clear();
-        cost.extend(
-            demand
-                .values()
-                .iter()
-                .zip(supply.values())
-                .map(|(d, s)| d - s),
-        );
-        let mut total_moved = 0.0;
-        let loads = shifted.chunks_exact_mut(HOURS_PER_DAY);
-        let costs = cost.chunks_exact(HOURS_PER_DAY);
-        let supplies = supply.values().chunks_exact(HOURS_PER_DAY);
-        for ((load, cost), sup) in loads.zip(costs).zip(supplies) {
-            total_moved += self.schedule_day(load, cost, Some(sup), order, sort_keys);
-        }
-        Ok(total_moved)
+        let order = CostOrder::from_deficit(demand, supply)?;
+        self.schedule_fresh(demand, supply.values(), &order)
     }
 
     /// Schedules against an arbitrary per-hour carbon-cost signal (for
     /// example the grid's hourly carbon intensity, as in the paper's
-    /// Figure 11).
+    /// Figure 11). Destination hours are capped by capacity only; no
+    /// supply clamp applies.
     ///
     /// # Errors
     ///
@@ -355,49 +300,19 @@ impl GreedyScheduler {
         demand: &HourlySeries,
         cost: &HourlySeries,
     ) -> Result<ScheduleResult, TimeSeriesError> {
-        let mut scratch = ScheduleScratch::default();
-        let energy_shifted_mwh = self.schedule_by_cost_with(demand, cost, &mut scratch)?;
-        Ok(ScheduleResult {
-            shifted_demand: HourlySeries::from_values(demand.start(), scratch.shifted),
-            energy_shifted_mwh,
-        })
-    }
-
-    /// [`GreedyScheduler::schedule_by_cost`] into caller-owned buffers,
-    /// analogous to [`GreedyScheduler::schedule_with`]: the shifted load
-    /// lands in `scratch.shifted()` and the energy moved is returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns an alignment error if the series are misaligned.
-    // ce:hot
-    pub fn schedule_by_cost_with(
-        &self,
-        demand: &HourlySeries,
-        cost: &HourlySeries,
-        scratch: &mut ScheduleScratch,
-    ) -> Result<f64, TimeSeriesError> {
         demand.check_aligned(cost)?;
-        scratch.shifted.clear();
-        scratch.shifted.extend_from_slice(demand.values());
-        let mut total_moved = 0.0;
-        let loads = scratch.shifted.chunks_exact_mut(HOURS_PER_DAY);
-        let costs = cost.values().chunks_exact(HOURS_PER_DAY);
-        for (load, cost) in loads.zip(costs) {
-            total_moved +=
-                self.schedule_day(load, cost, None, &mut scratch.order, &mut scratch.sort_keys);
-        }
-        Ok(total_moved)
+        self.schedule_fresh(demand, &[], &CostOrder::from_cost(cost.values()))
     }
 
-    /// [`GreedyScheduler::schedule_with`] with a precomputed
-    /// [`CostOrder`] (built from the *same* demand/supply pair via
-    /// [`CostOrder::from_deficit`] / [`CostOrder::rebuild_from_deficit`]):
-    /// the per-day cost ranking — the dominant cost of the uncached path —
-    /// is reused instead of recomputed, and results are bitwise-identical.
+    /// [`GreedyScheduler::schedule`] with a precomputed [`CostOrder`]
+    /// (built from the *same* demand/supply pair via
+    /// [`CostOrder::from_deficit`] / [`CostOrder::rebuild_from_deficit`])
+    /// and caller-owned buffers: the post-scheduling load lands in
+    /// `scratch.shifted()` and the total energy moved is returned, with no
+    /// per-call allocation once the scratch is warm.
     ///
-    /// Sweep loops exploit this by building one `CostOrder` per supply
-    /// group and scheduling every design point in the group through it.
+    /// Sweep loops build one `CostOrder` per supply group and schedule
+    /// every design point in the group through it.
     ///
     /// # Errors
     ///
@@ -413,40 +328,40 @@ impl GreedyScheduler {
         scratch: &mut ScheduleScratch,
     ) -> Result<f64, TimeSeriesError> {
         demand.check_aligned(supply)?;
-        if order.source_len() != demand.len() {
-            return Err(TimeSeriesError::LengthMismatch {
-                left: order.source_len(),
-                right: demand.len(),
-            });
-        }
-        scratch.shifted.clear();
-        scratch.shifted.extend_from_slice(demand.values());
-        let mut total_moved = 0.0;
-        let loads = scratch.shifted.chunks_exact_mut(HOURS_PER_DAY);
-        let costs = order.cost.chunks_exact(HOURS_PER_DAY);
-        let orders = order.order.chunks_exact(HOURS_PER_DAY);
-        let supplies = supply.values().chunks_exact(HOURS_PER_DAY);
-        for (((load, cost), ord), sup) in loads.zip(costs).zip(orders).zip(supplies) {
-            total_moved += self.transfer_day(load, cost, Some(sup), ord);
-        }
-        Ok(total_moved)
+        self.replay(
+            demand.values(),
+            supply.values(),
+            order,
+            &mut scratch.shifted,
+        )
     }
 
-    /// [`GreedyScheduler::schedule_by_cost_with`] with a precomputed
-    /// [`CostOrder`] (built from the *same* cost series via
-    /// [`CostOrder::from_cost`] / [`CostOrder::rebuild_from_cost`]);
-    /// results are bitwise-identical to the uncached path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length mismatch if `order` was built from a series of a
-    /// different length than `demand`.
-    // ce:hot
-    pub fn schedule_by_cost_with_order(
+    /// Replays `order` into a freshly allocated [`ScheduleResult`].
+    fn schedule_fresh(
         &self,
         demand: &HourlySeries,
+        supply: &[f64],
         order: &CostOrder,
-        scratch: &mut ScheduleScratch,
+    ) -> Result<ScheduleResult, TimeSeriesError> {
+        let mut shifted = Vec::new();
+        let energy_shifted_mwh = self.replay(demand.values(), supply, order, &mut shifted)?;
+        Ok(ScheduleResult {
+            shifted_demand: HourlySeries::from_values(demand.start(), shifted),
+            energy_shifted_mwh,
+        })
+    }
+
+    /// The one scheduling loop: copies `demand` into `shifted`, then runs
+    /// [`GreedyScheduler::transfer_day`] over each full day with that
+    /// day's ranking from `order`. An empty `supply` imposes no supply
+    /// clamp (cost-signal scheduling). Returns the energy moved.
+    // ce:hot
+    fn replay(
+        &self,
+        demand: &[f64],
+        supply: &[f64],
+        order: &CostOrder,
+        shifted: &mut Vec<f64>,
     ) -> Result<f64, TimeSeriesError> {
         if order.source_len() != demand.len() {
             return Err(TimeSeriesError::LengthMismatch {
@@ -454,59 +369,27 @@ impl GreedyScheduler {
                 right: demand.len(),
             });
         }
-        scratch.shifted.clear();
-        scratch.shifted.extend_from_slice(demand.values());
+        shifted.clear();
+        shifted.extend_from_slice(demand);
+        let mut supplies = supply.chunks_exact(HOURS_PER_DAY);
+        let days = shifted
+            .chunks_exact_mut(HOURS_PER_DAY)
+            .zip(order.cost.chunks_exact(HOURS_PER_DAY))
+            .zip(order.order.chunks_exact(HOURS_PER_DAY));
         let mut total_moved = 0.0;
-        let loads = scratch.shifted.chunks_exact_mut(HOURS_PER_DAY);
-        let costs = order.cost.chunks_exact(HOURS_PER_DAY);
-        let orders = order.order.chunks_exact(HOURS_PER_DAY);
-        for ((load, cost), ord) in loads.zip(costs).zip(orders) {
-            total_moved += self.transfer_day(load, cost, None, ord);
+        for ((load, cost), ord) in days {
+            total_moved += self.transfer_day(load, cost, supplies.next(), ord);
         }
         Ok(total_moved)
     }
 
-    /// Greedy within one day; returns energy moved. `order` and `keys`
-    /// are caller-owned work buffers (cleared and refilled here).
+    /// Greedy within one day: walks `order` (the day's hours ranked by
+    /// ascending cost) from both ends, moving flexible load from the most
+    /// expensive hours into the cheapest. Returns the energy moved.
     ///
     /// When a `supply` slice is given, a destination hour additionally
     /// stops absorbing load once its remaining renewable surplus is used
     /// up — moving more would merely relocate the deficit.
-    // ce:hot
-    fn schedule_day(
-        &self,
-        load: &mut [f64],
-        cost: &[f64],
-        supply: Option<&[f64]>,
-        order: &mut Vec<u32>,
-        keys: &mut Vec<u128>,
-    ) -> f64 {
-        // Hours ranked by cost: sources from most expensive down,
-        // destinations from cheapest up. The packed-key sort mirrors
-        // [`CostOrder::rebuild_orders`] — cost's `total_cmp`-ordered bits
-        // above the hour ordinal — so the unique-key unstable sort yields
-        // exactly the stable-sort permutation (the hour tiebreak *is*
-        // stability), stays allocation-free on warm buffers
-        // (`slice::sort_by` may allocate), and walks no indexes.
-        keys.clear();
-        keys.extend(
-            cost.iter()
-                .zip(0u32..)
-                // ce:allow(arith, reason = "64 key bits shifted 32 left still fit a u128")
-                .map(|(&c, hour)| (u128::from(ordered_bits(c)) << 32) | u128::from(hour)),
-        );
-        keys.sort_unstable();
-        order.clear();
-        order
-            // ce:allow(cast, reason = "intentional: the low 32 bits of the packed key are the hour ordinal")
-            .extend(keys.iter().map(|&key| key as u32));
-        self.transfer_day(load, cost, supply, order)
-    }
-
-    /// The transfer phase shared by the sorting and permutation-cached
-    /// paths: walks `order` (the day's hours ranked by ascending cost)
-    /// from both ends, moving flexible load from the most expensive hours
-    /// into the cheapest. Returns the energy moved.
     ///
     /// The cursors' slots are mirrored into locals (`src_load`, `budget`,
     /// `dst_load`, ...) and written back only when a cursor advances or
@@ -775,38 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_with_matches_schedule_bitwise() {
-        let demand = HourlySeries::from_fn(start(), 96, |h| 8.0 + ((h * 11) % 9) as f64);
-        let supply = HourlySeries::from_fn(start(), 96, |h| ((h * 5) % 21) as f64);
-        let sched = GreedyScheduler::new(CasConfig {
-            max_capacity_mw: 18.0,
-            flexible_ratio: 0.4,
-        });
-        let full = sched.schedule(&demand, &supply).unwrap();
-        let mut scratch = ScheduleScratch::default();
-        let moved = sched.schedule_with(&demand, &supply, &mut scratch).unwrap();
-        assert_eq!(scratch.shifted(), full.shifted_demand.values());
-        assert_eq!(moved.to_bits(), full.energy_shifted_mwh.to_bits());
-    }
-
-    #[test]
-    fn schedule_by_cost_with_matches_schedule_by_cost() {
-        let demand = HourlySeries::from_fn(start(), 48, |h| 6.0 + (h % 4) as f64);
-        let cost = HourlySeries::from_fn(start(), 48, |h| ((h * 17) % 10) as f64);
-        let sched = GreedyScheduler::new(CasConfig {
-            max_capacity_mw: 40.0,
-            flexible_ratio: 0.7,
-        });
-        let full = sched.schedule_by_cost(&demand, &cost).unwrap();
-        let mut scratch = ScheduleScratch::default();
-        let moved = sched
-            .schedule_by_cost_with(&demand, &cost, &mut scratch)
-            .unwrap();
-        assert_eq!(scratch.shifted(), full.shifted_demand.values());
-        assert_eq!(moved.to_bits(), full.energy_shifted_mwh.to_bits());
-    }
-
-    #[test]
     fn scratch_is_reusable_across_runs_of_different_lengths() {
         let sched = GreedyScheduler::new(CasConfig {
             max_capacity_mw: 25.0,
@@ -815,13 +666,15 @@ mod tests {
         let mut scratch = ScheduleScratch::default();
         let long_demand = HourlySeries::constant(start(), 72, 10.0);
         let long_supply = HourlySeries::from_fn(start(), 72, |h| ((h * 3) % 20) as f64);
+        let long_order = CostOrder::from_deficit(&long_demand, &long_supply).unwrap();
         sched
-            .schedule_with(&long_demand, &long_supply, &mut scratch)
+            .schedule_with_order(&long_demand, &long_supply, &long_order, &mut scratch)
             .unwrap();
         let short_demand = HourlySeries::constant(start(), 24, 10.0);
         let short_supply = solar_day_supply();
+        let short_order = CostOrder::from_deficit(&short_demand, &short_supply).unwrap();
         let moved = sched
-            .schedule_with(&short_demand, &short_supply, &mut scratch)
+            .schedule_with_order(&short_demand, &short_supply, &short_order, &mut scratch)
             .unwrap();
         let fresh = sched.schedule(&short_demand, &short_supply).unwrap();
         assert_eq!(scratch.shifted(), fresh.shifted_demand.values());
@@ -842,58 +695,61 @@ mod tests {
         (demand, supply)
     }
 
-    #[test]
-    fn cached_order_matches_sorting_path_bitwise() {
-        let (demand, supply) = uneven_fixture();
-        for (cap, fwr) in [(18.0, 0.4), (12.5, 1.0), (100.0, 0.05), (9.0, 0.0)] {
-            let sched = GreedyScheduler::new(CasConfig {
-                max_capacity_mw: cap,
-                flexible_ratio: fwr,
-            });
-            let mut sorted = ScheduleScratch::default();
-            let moved_sorted = sched.schedule_with(&demand, &supply, &mut sorted).unwrap();
-            let order = CostOrder::from_deficit(&demand, &supply).unwrap();
-            let mut cached = ScheduleScratch::default();
-            let moved_cached = sched
-                .schedule_with_order(&demand, &supply, &order, &mut cached)
-                .unwrap();
-            let sorted_bits: Vec<u64> = sorted.shifted().iter().map(|v| v.to_bits()).collect();
-            let cached_bits: Vec<u64> = cached.shifted().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                sorted_bits, cached_bits,
-                "shifted diverged (cap {cap}, fwr {fwr})"
-            );
-            assert_eq!(
-                moved_sorted.to_bits(),
-                moved_cached.to_bits(),
-                "moved diverged (cap {cap}, fwr {fwr})"
-            );
-        }
-    }
+    /// Demand/supply pairs whose deficit `d − s` covers every ordering
+    /// case a day's ranking must get right: ties, both signed zeros,
+    /// negatives, NaNs of both signs, and infinities.
+    const ORDERING_PAIRS: [(f64, f64); 9] = [
+        (0.0, 0.0),
+        (-0.0, 0.0),
+        (1.0, 4.0),
+        (4.0, 1.0),
+        (5.0, 2.0),
+        (f64::NAN, 0.0),
+        (-f64::NAN, 0.0),
+        (f64::NEG_INFINITY, 0.0),
+        (2.0, 5.0),
+    ];
 
     #[test]
-    fn cached_order_matches_by_cost_path_bitwise() {
-        let demand = HourlySeries::from_fn(start(), 24 * 5, |h| 6.0 + (h % 4) as f64);
-        // Ties across hours (cost repeats every 6 hours) plus NaN-free
-        // negatives to exercise the full total_cmp ordering.
-        let cost = HourlySeries::from_fn(start(), 24 * 5, |h| ((h % 6) as f64) - 2.0);
-        let sched = GreedyScheduler::new(CasConfig {
-            max_capacity_mw: 40.0,
-            flexible_ratio: 0.7,
-        });
-        let mut sorted = ScheduleScratch::default();
-        let moved_sorted = sched
-            .schedule_by_cost_with(&demand, &cost, &mut sorted)
-            .unwrap();
-        let order = CostOrder::from_cost(cost.values());
-        let mut cached = ScheduleScratch::default();
-        let moved_cached = sched
-            .schedule_by_cost_with_order(&demand, &order, &mut cached)
-            .unwrap();
-        let sorted_bits: Vec<u64> = sorted.shifted().iter().map(|v| v.to_bits()).collect();
-        let cached_bits: Vec<u64> = cached.shifted().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(sorted_bits, cached_bits);
-        assert_eq!(moved_sorted.to_bits(), moved_cached.to_bits());
+    fn cost_order_is_each_days_stable_total_cmp_sort() {
+        // Three full days, each a different arrangement of the pairs, and
+        // a trailing partial day that must not be ranked.
+        let len = 24 * 3 + 5;
+        let pair = |h: usize| ORDERING_PAIRS[(h * 7 + h / 24) % ORDERING_PAIRS.len()];
+        let demand = HourlySeries::from_fn(start(), len, |h| pair(h).0);
+        let supply = HourlySeries::from_fn(start(), len, |h| pair(h).1);
+        let deficit: Vec<f64> = demand
+            .values()
+            .iter()
+            .zip(supply.values())
+            .map(|(d, s)| d - s)
+            .collect();
+        let raw = demand.values().to_vec();
+        for cost in [&deficit, &raw] {
+            let has = |bits: u64| cost.iter().any(|c| c.to_bits() == bits);
+            assert!(has(0.0f64.to_bits()) && has((-0.0f64).to_bits()));
+            assert!(cost.iter().any(|c| c.is_nan() && c.is_sign_negative()));
+            assert!(cost.iter().any(|c| c.is_nan() && c.is_sign_positive()));
+        }
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let built = [
+            (CostOrder::from_deficit(&demand, &supply).unwrap(), &deficit),
+            (CostOrder::from_cost(&raw), &raw),
+        ];
+        for (order, cost) in built {
+            // The oracle: each full day's hour indices, stably sorted by
+            // `f64::total_cmp` of their cost.
+            let mut expected: Vec<u32> = Vec::new();
+            for day in cost.chunks_exact(24) {
+                let mut hours: Vec<u32> = (0..24).collect();
+                hours.sort_by(|&a, &b| day[a as usize].total_cmp(&day[b as usize]));
+                expected.extend(hours);
+            }
+            assert_eq!(order.order, expected);
+            assert_eq!(bits(&order.cost), bits(&cost[..24 * 3]));
+            assert_eq!(order.source_len(), len);
+            assert_eq!(order.days(), 3);
+        }
     }
 
     #[test]
@@ -916,10 +772,9 @@ mod tests {
         let moved = sched
             .schedule_with_order(&d2, &s2, &order, &mut cached)
             .unwrap();
-        let mut sorted = ScheduleScratch::default();
-        let moved_sorted = sched.schedule_with(&d2, &s2, &mut sorted).unwrap();
-        assert_eq!(cached.shifted(), sorted.shifted());
-        assert_eq!(moved.to_bits(), moved_sorted.to_bits());
+        let fresh = sched.schedule(&d2, &s2).unwrap();
+        assert_eq!(cached.shifted(), fresh.shifted_demand.values());
+        assert_eq!(moved.to_bits(), fresh.energy_shifted_mwh.to_bits());
     }
 
     #[test]
@@ -936,9 +791,6 @@ mod tests {
         assert!(sched
             .schedule_with_order(&short_demand, &short_supply, &order, &mut scratch)
             .is_err());
-        assert!(sched
-            .schedule_by_cost_with_order(&short_demand, &order, &mut scratch)
-            .is_err());
     }
 
     #[test]
@@ -952,10 +804,9 @@ mod tests {
             max_capacity_mw: 10.0,
             flexible_ratio: 1.0,
         });
-        let mut scratch = ScheduleScratch::default();
-        let moved = sched.schedule_with(&demand, &supply, &mut scratch).unwrap();
-        assert_eq!(moved, 0.0);
-        assert_eq!(scratch.shifted(), demand.values());
+        let result = sched.schedule(&demand, &supply).unwrap();
+        assert_eq!(result.energy_shifted_mwh, 0.0);
+        assert_eq!(result.shifted_demand, demand);
     }
 
     #[test]
