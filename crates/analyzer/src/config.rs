@@ -323,13 +323,13 @@ mod tests {
         let parallel = allowances_for("crates/parallel/src/lib.rs");
         assert!(parallel.env_var_ce_threads && parallel.threads);
         assert!(!parallel.wall_clock && !parallel.sockets);
-        let bench = allowances_for("crates/bench/src/bin/bench_sweep.rs");
+        let bench = allowances_for("crates/bench/src/bin/repro.rs");
         assert!(bench.wall_clock && bench.sockets && bench.threads);
         assert!(!bench.env_var_ce_threads);
         let serve = allowances_for("crates/serve/src/server.rs");
         assert!(serve.wall_clock && serve.sockets && serve.threads && serve.raw_fds);
         assert!(!serve.env_var_ce_threads);
-        let bench = allowances_for("crates/bench/src/bin/bench_serve.rs");
+        let bench = allowances_for("crates/bench/src/context.rs");
         assert!(!bench.raw_fds, "only the event loop handles raw fds");
         assert_eq!(
             allowances_for("crates/core/src/explore.rs"),
@@ -341,7 +341,7 @@ mod tests {
     fn deny_unsafe_exception_is_serve_only() {
         assert!(may_deny_unsafe("crates/serve/src/lib.rs"));
         assert!(!may_deny_unsafe("crates/core/src/lib.rs"));
-        assert!(!may_deny_unsafe("crates/bench/src/bin/bench_serve.rs"));
+        assert!(!may_deny_unsafe("crates/bench/src/bin/repro.rs"));
         assert!(!may_deny_unsafe("src/lib.rs"));
     }
 

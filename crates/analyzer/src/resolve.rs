@@ -30,15 +30,7 @@ use std::path::Path;
 /// Path roots that terminate resolution: the standard library and the
 /// vendored offline stand-ins. Facts *inside* such calls are modeled by
 /// the lexical alloc/panic vocabulary instead of graph edges.
-const STD_ROOTS: &[&str] = &[
-    "std",
-    "core",
-    "alloc",
-    "rand",
-    "serde",
-    "proptest",
-    "criterion",
-];
+const STD_ROOTS: &[&str] = &["std", "core", "alloc", "rand", "serde", "proptest"];
 
 /// The workspace crate dependency graph, parsed from `Cargo.toml`s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -1463,7 +1463,7 @@ mod tests {
         assert!(analyze("crates/serve/src/server.rs", src)
             .violations
             .is_empty());
-        assert!(analyze("crates/bench/src/bin/bench_serve.rs", src)
+        assert!(analyze("crates/bench/src/bin/repro.rs", src)
             .violations
             .is_empty());
     }

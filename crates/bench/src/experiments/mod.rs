@@ -5,12 +5,14 @@ pub mod design;
 pub mod extensions;
 pub mod holistic;
 pub mod inputs;
+pub mod provenance;
 
 use crate::context::Context;
 
 /// Every experiment id: the paper's artifacts in paper order, followed by
-/// this reproduction's extension/ablation studies.
-pub const ALL_IDS: [&str; 26] = [
+/// this reproduction's extension/ablation studies and the sweep's
+/// provenance hashes.
+pub const ALL_IDS: [&str; 27] = [
     "table1",
     "table2",
     "fig1",
@@ -37,6 +39,7 @@ pub const ALL_IDS: [&str; 26] = [
     "aging",
     "sensitivity",
     "seasonal",
+    "provenance",
 ];
 
 /// Runs one experiment by id; `None` for an unknown id.
@@ -68,6 +71,7 @@ pub fn run(id: &str, ctx: &mut Context) -> Option<String> {
         "aging" => extensions::aging(ctx),
         "sensitivity" => extensions::sensitivity_study(ctx),
         "seasonal" => extensions::seasonal_study(ctx),
+        "provenance" => provenance::provenance_study(ctx),
         _ => return None,
     })
 }

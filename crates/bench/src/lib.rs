@@ -2,8 +2,8 @@
 //! and figure, each returning the printed artifact as a `String`.
 //!
 //! The `repro` binary (`cargo run --release -p ce-bench --bin repro -- all`)
-//! drives these; integration tests assert on their quantitative content;
-//! the Criterion benches in `benches/` time the underlying kernels.
+//! drives these; integration tests assert on their quantitative content.
+//! Performance is measured by the repository benchmark in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

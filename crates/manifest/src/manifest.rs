@@ -244,9 +244,8 @@ impl Manifest {
     }
 
     /// Deterministic JSON rendering: fixed field order, no whitespace,
-    /// minimal string escaping. Embedded verbatim in served responses and
-    /// committed BENCH_*.json artifacts, so the spelling is part of the
-    /// byte-determinism contract.
+    /// minimal string escaping. Embedded verbatim in served responses, so
+    /// the spelling is part of the byte-determinism contract.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(384);
         out.push('{');

@@ -25,7 +25,10 @@
 //! | `GET /manifest/<hash>` | — | the provenance manifest registered under a result hash |
 //!
 //! A *context* is `{"site": "UT"}` or `{"ba": "PACE", "demand_mw": 25}`,
-//! plus optional `year` (default 2020) and `seed` (default 7).
+//! plus optional `year` (default 2020) and `seed` (default 7). Integer
+//! fields (`year`, `seed`, `refine_rounds`, axis steps) accept only exact
+//! integers up to 2^53 − 1, so two different numbers never map to one
+//! value.
 //! `/evaluate` and `/explore` accept an optional `"manifest": true`,
 //! which appends a [`ce_manifest::Manifest`] block to the response —
 //! seed, year, balancing authority, strategy, code fingerprint, and the
@@ -84,8 +87,8 @@ pub mod sys;
 
 pub use json::{Json, JsonError};
 pub use request::{
-    build_explorer, evaluation_json, execute, execute_with_manifest, manifest_from_json,
-    manifest_json, request_manifest, scenarios_json, ComputeKind, ComputeRequest, Context,
-    DemandSource, ExplorerCache, Limits, ManifestStore, RequestError,
+    build_explorer, evaluation_json, execute, execute_with_manifest, manifest_json,
+    request_manifest, scenarios_json, ComputeKind, ComputeRequest, Context, DemandSource,
+    ExplorerCache, Limits, ManifestStore, RequestError,
 };
 pub use server::{start, ServerConfig, ServerHandle};

@@ -378,17 +378,21 @@ fn push_space(out: &mut String, space: &DesignSpace) {
     }
 }
 
-/// Reads a JSON number as an exact non-negative integer.
+/// 2^53 − 1, the largest integer `n` for which `n` and `n + 1` are both
+/// exact `f64`s. Above it a JSON number may have been rounded to a
+/// neighbour when it was parsed, so two different requests could share
+/// one cache key.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_991.0;
+
+/// Reads a JSON number as an exact integer in `0..=2^53 − 1`. The range
+/// test also rejects NaN and both infinities, and a number in range has
+/// `fract() >= 0`, so `fract() > 0` is exactly "not an integer".
 fn as_index(v: &Json) -> Option<usize> {
     let n = v.as_f64()?;
-    if !n.is_finite() || n < 0.0 {
+    if !(0.0..=MAX_EXACT_INTEGER).contains(&n) || n.fract() > 0.0 {
         return None;
     }
-    let i = n as u64;
-    if (i as f64 - n).abs() > 1e-9 {
-        return None;
-    }
-    usize::try_from(i).ok()
+    usize::try_from(n as u64).ok()
 }
 
 fn as_finite(v: &Json) -> Option<f64> {
@@ -420,7 +424,7 @@ fn parse_context(body: &Json) -> Result<Context, RequestError> {
     let seed = match body.get("seed") {
         None => 7,
         Some(v) => as_index(v)
-            .ok_or_else(|| RequestError::bad("`seed` must be a non-negative integer"))?
+            .ok_or_else(|| RequestError::bad("`seed` must be an integer in 0..=2^53 - 1"))?
             as u64,
     };
     let site = body.get("site");
@@ -816,8 +820,8 @@ pub fn streamed_explore_manifest(req: &ComputeRequest, result_hash: String) -> M
 
 /// Renders a manifest as its wire object. Field order and spelling are
 /// pinned to match [`Manifest::to_json`] byte-for-byte, so the inline
-/// `manifest` block, the `GET /manifest/<hash>` body, and the manifests
-/// committed in benchmark files are all the same bytes.
+/// `manifest` block and the `GET /manifest/<hash>` body are the same
+/// bytes.
 pub fn manifest_json(manifest: &Manifest) -> Json {
     Json::obj(vec![
         ("schema", Json::Num(f64::from(manifest.schema))),
@@ -851,47 +855,6 @@ pub fn manifest_json(manifest: &Manifest) -> Json {
         ("input_hash", Json::string(manifest.input_hash.as_str())),
         ("result_hash", Json::string(manifest.result_hash.as_str())),
     ])
-}
-
-/// Decodes a wire manifest object back into a [`Manifest`] — the inverse
-/// of [`manifest_json`]. The bench `--check` modes use this to lift the
-/// manifests committed inside `BENCH_*.json` artifacts back into typed
-/// records so `ce_manifest::verify` can re-derive them.
-///
-/// # Errors
-///
-/// A message naming the first missing or mistyped field.
-pub fn manifest_from_json(json: &Json) -> Result<Manifest, String> {
-    let str_field = |name: &str| {
-        json.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("manifest.{name}: missing or not a string"))
-    };
-    let num_list = |name: &str| {
-        json.get(name)
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("manifest.{name}: missing or not an array"))?
-            .iter()
-            .map(Json::as_f64)
-            .collect::<Option<Vec<f64>>>()
-            .ok_or_else(|| format!("manifest.{name}: non-numeric entry"))
-    };
-    let schema = json
-        .get("schema")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "manifest.schema: missing or not a number".to_string())?;
-    Ok(Manifest {
-        schema: schema as u32,
-        kind: str_field("kind")?,
-        ba: str_field("ba")?,
-        strategy: str_field("strategy")?,
-        years: num_list("years")?.iter().map(|&y| y as i32).collect(),
-        seeds: num_list("seeds")?.iter().map(|&s| s as u64).collect(),
-        code_fingerprint: str_field("code_fingerprint")?,
-        input_hash: str_field("input_hash")?,
-        result_hash: str_field("result_hash")?,
-    })
 }
 
 /// The closing fragment of a streamed `/explore` body.
@@ -1151,10 +1114,46 @@ mod tests {
                 r#"{"ba":"PACE","demand_mw":0,"strategy":"renewables_only","design":{}}"#,
                 422,
             ),
+            // Integers an f64 cannot hold exactly, or that are not
+            // integers at all, would otherwise be served as a neighbour.
+            (
+                r#"{"site":"UT","strategy":"renewables_only","design":{},"seed":9007199254740993}"#,
+                400,
+            ),
+            (
+                r#"{"site":"UT","strategy":"renewables_only","design":{},"seed":3.0000000001}"#,
+                400,
+            ),
+            (
+                r#"{"site":"UT","strategy":"renewables_only","design":{},"seed":18446744073709551616}"#,
+                400,
+            ),
+            (
+                r#"{"site":"UT","strategy":"renewables_only","design":{},"year":2020.0000000001}"#,
+                400,
+            ),
         ];
         for (body, status) in cases {
             let err = parse_eval(body).expect_err(body);
             assert_eq!(err.status, status, "{body} → {}", err.message);
+        }
+        let other_kinds = [
+            (
+                ComputeKind::Optimal,
+                r#"{"site":"UT","strategy":"renewables_only","space":{"solar":[0,100,2]},"refine_rounds":1.5}"#,
+                "refine_rounds",
+            ),
+            (
+                ComputeKind::Explore,
+                r#"{"site":"UT","strategy":"renewables_only","space":{"solar":[0,100,2.0000000001]}}"#,
+                "steps",
+            ),
+        ];
+        for (kind, body, field) in other_kinds {
+            let json = Json::parse(body).expect("valid JSON");
+            let err = ComputeRequest::parse(kind, &json, &Limits::default()).expect_err(body);
+            assert_eq!(err.status, 400, "{body} → {}", err.message);
+            assert!(err.message.contains(field), "{body} → {}", err.message);
         }
     }
 
@@ -1382,22 +1381,30 @@ mod tests {
 
     #[test]
     fn manifest_wire_encoding_matches_the_crate_canonical_json() {
-        let req = parse_eval(
-            r#"{"site":"UT","strategy":"renewables_battery","design":{"solar_mw":100,"battery_mwh":50},"manifest":true}"#,
-        )
-        .expect("parses");
-        let explorer = build_explorer(req.context()).expect("builds");
-        let (_, manifest) = execute_with_manifest(&req, &explorer, &mut EvalScratch::default());
-        let manifest = manifest.expect("manifest requested");
-        assert_eq!(
-            manifest_json(&manifest).encode(),
-            manifest.to_json(),
-            "served manifest bytes must equal ce-manifest's canonical JSON"
-        );
-        // And the decoder inverts the encoder: parse the wire bytes back
-        // into a typed record and land on the same manifest.
-        let parsed = Json::parse(&manifest.to_json()).expect("wire manifest parses");
-        assert_eq!(manifest_from_json(&parsed), Ok(manifest));
+        // 2^53 - 1, the largest seed a request accepts, shows the f64 path
+        // in `manifest_json` exact at the bound.
+        for (body, seed) in [
+            (
+                r#"{"site":"UT","strategy":"renewables_battery","design":{"solar_mw":100,"battery_mwh":50},"manifest":true}"#,
+                7,
+            ),
+            (
+                r#"{"site":"UT","strategy":"renewables_only","design":{"solar_mw":100},"seed":9007199254740991,"manifest":true}"#,
+                9_007_199_254_740_991,
+            ),
+        ] {
+            let req = parse_eval(body).expect("parses");
+            assert_eq!(req.context().seed, seed);
+            let explorer = build_explorer(req.context()).expect("builds");
+            let (_, manifest) = execute_with_manifest(&req, &explorer, &mut EvalScratch::default());
+            let manifest = manifest.expect("manifest requested");
+            assert_eq!(manifest.seeds, vec![seed]);
+            assert_eq!(
+                manifest_json(&manifest).encode(),
+                manifest.to_json(),
+                "served manifest bytes must equal ce-manifest's canonical JSON"
+            );
+        }
     }
 
     #[test]

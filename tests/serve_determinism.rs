@@ -1,9 +1,10 @@
 //! The serving layer's determinism contract, end to end: bodies served
 //! over HTTP — fresh, from the response cache, coalesced, or from a
 //! different server instance — are byte-identical to encoding the direct
-//! library result, and every float survives with its exact bits.
+//! library result, and every float survives with its exact bits. The
+//! provenance hashes of one `/evaluate` working set are pinned here too.
 
-use carbon_explorer::core::EvalScratch;
+use carbon_explorer::core::{provenance, EvalScratch};
 use carbon_explorer::serve::{
     build_explorer, execute, start, ComputeKind, ComputeRequest, Json, Limits, ServerConfig,
 };
@@ -309,4 +310,49 @@ fn optimal_search_is_bitwise_identical_over_http() {
     assert_eq!(cached, reference);
 
     handle.shutdown();
+}
+
+/// The provenance of a 64-key `/evaluate` working set: one site context,
+/// 64 distinct battery designs. Every body is parsed as the server parses
+/// it; the input hash covers the newline-joined canonical request keys
+/// (the server's cache identities) and the result hash every evaluation in
+/// key order. A change that moves any bit of any result, or the spelling
+/// of any key, changes the pair.
+#[test]
+fn evaluate_working_set_provenance_is_pinned() {
+    let limits = Limits::default();
+    let mut scratch = EvalScratch::default();
+    let mut explorer = None;
+    let mut keys = Vec::new();
+    let mut evaluations = Vec::new();
+    for i in 0..64 {
+        let body = format!(
+            r#"{{"site":"UT","strategy":"renewables_battery","design":{{"solar_mw":{},"wind_mw":{},"battery_mwh":{}}}}}"#,
+            100 + 5 * (i % 8),
+            50 + 10 * (i / 8),
+            25 + i
+        );
+        let json = Json::parse(&body).expect("request JSON");
+        let request =
+            ComputeRequest::parse(ComputeKind::Evaluate, &json, &limits).expect("valid request");
+        let ComputeRequest::Evaluate {
+            strategy, design, ..
+        } = &request
+        else {
+            panic!("{body} is an /evaluate request");
+        };
+        let explorer =
+            explorer.get_or_insert_with(|| build_explorer(request.context()).expect("explorer"));
+        evaluations.push(explorer.evaluate_with(*strategy, design, &mut scratch));
+        keys.push(request.canonical_key());
+    }
+    let hashes = provenance::recomputed(&keys.join("\n"), &evaluations);
+    assert_eq!(
+        hashes.input_hash,
+        "55f0ff6b2042ea2698f610ea7275a5024a06dcd1479f94aea4688506dde74d5e"
+    );
+    assert_eq!(
+        hashes.result_hash,
+        "315812b314f62fd7e7c7c3bb603313d01043f87f5455f63e0e3ff20d10b01e40"
+    );
 }
