@@ -9,9 +9,7 @@
 //! 2. the narrow per-crate **allowances** the workspace's edges need:
 //!    `ce-parallel` may read the `CE_THREADS` environment variable (worker
 //!    count, which by construction cannot change results — that is the
-//!    crate's whole determinism contract) and spawn threads; `ce-bench`
-//!    may call `Instant::now`/`SystemTime::now` (benchmarking *is*
-//!    timing), open sockets, and spawn load-generator threads; `ce-serve`
+//!    crate's whole determinism contract) and spawn threads; `ce-serve`
 //!    may open sockets, spawn its worker pool, and read the clock, because
 //!    a network service is operationally nondeterministic by nature — its
 //!    *response bodies* stay bitwise-deterministic, which is exactly why
@@ -170,9 +168,9 @@ pub fn unsafe_allowlisted(rel_path: &str) -> bool {
 
 /// Whether `rel_path` belongs to a deterministic crate — no wall-clock or
 /// socket allowance — and is therefore subject to `cast-truncation`.
-/// The operational front ends (`ce-serve`, `ce-bench`) deal in fd counts,
-/// byte lengths, and latency buckets where narrowing is routine and
-/// outside the bitwise-determinism contract.
+/// The operational front end (`ce-serve`) deals in fd counts, byte
+/// lengths, and latency buckets where narrowing is routine and outside
+/// the bitwise-determinism contract.
 pub fn is_deterministic(rel_path: &str) -> bool {
     let a = allowances_for(rel_path);
     !a.wall_clock && !a.sockets
@@ -259,12 +257,6 @@ pub fn allowances_for(rel_path: &str) -> CrateAllowances {
             threads: true,
             ..CrateAllowances::default()
         },
-        Some("bench") => CrateAllowances {
-            wall_clock: true,
-            sockets: true,
-            threads: true,
-            ..CrateAllowances::default()
-        },
         Some("serve") => CrateAllowances {
             wall_clock: true,
             sockets: true,
@@ -323,14 +315,17 @@ mod tests {
         let parallel = allowances_for("crates/parallel/src/lib.rs");
         assert!(parallel.env_var_ce_threads && parallel.threads);
         assert!(!parallel.wall_clock && !parallel.sockets);
-        let bench = allowances_for("crates/bench/src/bin/repro.rs");
-        assert!(bench.wall_clock && bench.sockets && bench.threads);
-        assert!(!bench.env_var_ce_threads);
+        // The figure harness times nothing, serves nothing and handles
+        // no raw fds.
+        for path in [
+            "crates/bench/src/bin/repro.rs",
+            "crates/bench/src/context.rs",
+        ] {
+            assert_eq!(allowances_for(path), CrateAllowances::default(), "{path}");
+        }
         let serve = allowances_for("crates/serve/src/server.rs");
         assert!(serve.wall_clock && serve.sockets && serve.threads && serve.raw_fds);
         assert!(!serve.env_var_ce_threads);
-        let bench = allowances_for("crates/bench/src/context.rs");
-        assert!(!bench.raw_fds, "only the event loop handles raw fds");
         assert_eq!(
             allowances_for("crates/core/src/explore.rs"),
             CrateAllowances::default()
@@ -387,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_crates_exclude_operational_front_ends() {
+    fn deterministic_crates_exclude_the_operational_front_end() {
         assert!(is_deterministic("crates/core/src/explore.rs"));
         assert!(is_deterministic("crates/parallel/src/lib.rs"));
         assert!(is_deterministic("src/lib.rs"));
@@ -396,7 +391,7 @@ mod tests {
         assert!(is_deterministic("crates/manifest/src/manifest.rs"));
         assert!(is_deterministic("crates/manifest/src/sha256.rs"));
         assert!(!is_deterministic("crates/serve/src/event.rs"));
-        assert!(!is_deterministic("crates/bench/src/context.rs"));
+        assert!(is_deterministic("crates/bench/src/context.rs"));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! 1. `nondeterminism` — no hash-ordered collections or ambient state in
 //!    deterministic crates (narrow allowances: `CE_THREADS` in
-//!    `ce-parallel`, wall-clock/sockets in `ce-bench`/`ce-serve`);
+//!    `ce-parallel`, wall-clock/sockets in `ce-serve`);
 //! 2. `hot-path-alloc` — functions marked `// ce:hot` must not allocate;
 //! 3. `float-eq` — float `==`/`!=` outside tests needs an explicit
 //!    `// ce:allow(float-eq, reason = "…")` marker;

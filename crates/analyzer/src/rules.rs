@@ -432,7 +432,7 @@ fn rule_nondeterminism(ctx: &RuleCtx<'_>, out: &mut Vec<Violation>) {
                 ctx.violation(
                     RULE,
                     t,
-                    "`Instant::now` makes results wall-clock dependent; timing belongs in ce-bench"
+                    "`Instant::now` makes results wall-clock dependent; timing belongs in perfbench/"
                         .to_string(),
                 )
             }
@@ -442,7 +442,7 @@ fn rule_nondeterminism(ctx: &RuleCtx<'_>, out: &mut Vec<Violation>) {
                 ctx.violation(
                     RULE,
                     t,
-                    "`SystemTime::now` makes results wall-clock dependent; timing belongs in ce-bench"
+                    "`SystemTime::now` makes results wall-clock dependent; timing belongs in perfbench/"
                         .to_string(),
                 )
             }
@@ -471,8 +471,7 @@ fn rule_nondeterminism(ctx: &RuleCtx<'_>, out: &mut Vec<Violation>) {
                 RULE,
                 t,
                 format!(
-                    "`{}` brings network timing into results; sockets belong in \
-                     ce-serve or ce-bench",
+                    "`{}` brings network timing into results; sockets belong in ce-serve",
                     t.text
                 ),
             ),
@@ -728,10 +727,9 @@ fn test_position_set(ctx: &RuleCtx<'_>) -> std::collections::BTreeSet<(u32, u32)
 /// dataflow proves the result in-range, when the operator is already a
 /// `checked_*`/`saturating_*` method (those never lex as bare operators),
 /// or when it carries `ce:allow(arith, reason = "…")` (the rule name
-/// spelling works too). The operational front ends (`ce-serve`,
-/// `ce-bench`) deal in latency buckets and byte counts outside the
-/// bitwise-determinism contract and are exempt, exactly like
-/// `cast-truncation`.
+/// spelling works too). The operational front end (`ce-serve`) deals in
+/// latency buckets and byte counts outside the bitwise-determinism
+/// contract and is exempt, exactly like `cast-truncation`.
 fn arith_sites(ctx: &RuleCtx<'_>, df: &crate::dataflow::FileDataflow) -> Vec<u32> {
     if !is_deterministic(ctx.rel_path) {
         return Vec::new();
@@ -1444,26 +1442,21 @@ mod tests {
     }
 
     #[test]
-    fn instant_allowed_only_in_bench() {
+    fn instant_allowed_only_in_serve() {
         let src = "fn f() { let _t = std::time::Instant::now(); }";
-        assert_eq!(
-            rules_of(&analyze("crates/core/src/x.rs", src)),
-            ["nondeterminism"]
-        );
-        assert!(analyze("crates/bench/src/x.rs", src).violations.is_empty());
+        for path in ["crates/core/src/x.rs", "crates/bench/src/x.rs"] {
+            assert_eq!(rules_of(&analyze(path, src)), ["nondeterminism"], "{path}");
+        }
+        assert!(analyze("crates/serve/src/x.rs", src).violations.is_empty());
     }
 
     #[test]
-    fn sockets_allowed_only_in_serve_and_bench() {
+    fn sockets_allowed_only_in_serve() {
         let src = "fn f() { let _l = std::net::TcpListener::bind(\"127.0.0.1:0\"); }";
-        assert_eq!(
-            rules_of(&analyze("crates/core/src/x.rs", src)),
-            ["nondeterminism"]
-        );
+        for path in ["crates/core/src/x.rs", "crates/bench/src/bin/repro.rs"] {
+            assert_eq!(rules_of(&analyze(path, src)), ["nondeterminism"], "{path}");
+        }
         assert!(analyze("crates/serve/src/server.rs", src)
-            .violations
-            .is_empty());
-        assert!(analyze("crates/bench/src/bin/repro.rs", src)
             .violations
             .is_empty());
     }
@@ -1473,11 +1466,13 @@ mod tests {
         let spawn = "fn f() { std::thread::spawn(|| {}); }";
         let scope = "fn f() { std::thread::scope(|_s| {}); }";
         for src in [spawn, scope] {
-            assert_eq!(
-                rules_of(&analyze("crates/core/src/x.rs", src)),
-                ["nondeterminism"],
-                "{src}"
-            );
+            for path in ["crates/core/src/x.rs", "crates/bench/src/x.rs"] {
+                assert_eq!(
+                    rules_of(&analyze(path, src)),
+                    ["nondeterminism"],
+                    "{path}: {src}"
+                );
+            }
             assert!(analyze("crates/parallel/src/x.rs", src)
                 .violations
                 .is_empty());

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 /// Evenly spaced investment levels up to `max`.
 fn axis(max: f64, steps: usize) -> Vec<f64> {
     (0..steps)
-        .map(|i| max * i as f64 / (steps - 1).max(1) as f64)
+        .map(|i| max * i as f64 / steps.saturating_sub(1).max(1) as f64)
         .collect()
 }
 
@@ -218,7 +218,7 @@ pub fn fig8(ctx: &mut Context) -> String {
     };
     let mut naive_full = None;
     for i in 1..=400 {
-        let total = max_total * i as f64 / 400.0;
+        let total = max_total * f64::from(i) / 400.0;
         if avg_day_coverage(total) >= 99.9 {
             naive_full = Some(total);
             break;

@@ -95,8 +95,8 @@ impl fmt::Display for EvaluatedDesign {
 /// [`CarbonExplorer::evaluate_with`] fills the supply buffer in place
 /// instead of allocating a fresh 8760-sample series per design point, and
 /// the scheduler arms run through scratch-owned shift/backlog buffers;
-/// sweep loops hand each worker thread one scratch for its whole chunk,
-/// after which every strategy's evaluation path performs zero heap
+/// sweep loops hand each worker thread one scratch for its whole chunk or
+/// lane, after which every strategy's evaluation path performs zero heap
 /// allocation per design point. The scratch also owns a [`CostOrder`]:
 /// the per-day cost-sorted hour permutations the CAS scheduler consumes,
 /// rebuilt once per renewable supply (once per (solar, wind) group in the
@@ -137,6 +137,10 @@ pub struct CarbonExplorer {
     unit_solar_mwh: f64,
     /// Annual energy of a 1 MW wind investment on this grid, MWh.
     unit_wind_mwh: f64,
+    /// Every grid-intensity sample is `>= 0`, so operational carbon is
+    /// too: one of the two preconditions of the optimum search's
+    /// embodied-carbon bound (see [`CarbonExplorer::embodied_terms`]).
+    intensity_nonnegative: bool,
 }
 
 impl CarbonExplorer {
@@ -156,6 +160,7 @@ impl CarbonExplorer {
         let demand_mwh = demand.sum();
         let unit_solar_mwh = grid.scaled_solar(1.0).sum();
         let unit_wind_mwh = grid.scaled_wind(1.0).sum();
+        let intensity_nonnegative = grid_intensity.values().iter().all(|&w| w >= 0.0);
         Self {
             demand,
             grid,
@@ -167,6 +172,7 @@ impl CarbonExplorer {
             demand_mwh,
             unit_solar_mwh,
             unit_wind_mwh,
+            intensity_nonnegative,
         }
     }
 
@@ -244,21 +250,29 @@ impl CarbonExplorer {
         design: &DesignPoint,
         scratch: &mut EvalScratch,
     ) -> EvaluatedDesign {
-        let EvalScratch {
-            supply,
-            schedule,
-            combined,
-            cost_order,
-        } = scratch;
-        let supply = supply
-            // ce:allow(hot-path-transitive-alloc, reason = "scratch warm-up: zeros runs once, before the steady state the rule guards")
-            .get_or_insert_with(|| HourlySeries::zeros(self.demand.start(), self.demand.len()));
-        self.grid
-            .scaled_renewables_into(design.solar_mw, design.wind_mw, supply);
-        if matches!(strategy, StrategyKind::RenewablesCas) {
-            cost_order.rebuild_from_deficit_slices(self.demand.values(), supply.values());
+        self.walk_group(strategy, design.solar_mw, design.wind_mw, scratch)
+            .score(design)
+    }
+
+    /// Starts the walk of one (solar, wind) supply group over `scratch`.
+    /// This is the one place a sweep builds a supply: every path that
+    /// scores points (`evaluate_with`, `explore`, `explore_groups`,
+    /// `optimal`) goes through it.
+    fn walk_group<'a>(
+        &'a self,
+        strategy: StrategyKind,
+        solar_mw: f64,
+        wind_mw: f64,
+        scratch: &'a mut EvalScratch,
+    ) -> GroupWalk<'a> {
+        GroupWalk {
+            explorer: self,
+            strategy,
+            solar_mw,
+            wind_mw,
+            scratch,
+            built: false,
         }
-        self.score_with_supply(strategy, design, supply, schedule, combined, cost_order)
     }
 
     /// Scores one design point against an already-materialized renewable
@@ -289,18 +303,8 @@ impl CarbonExplorer {
                 && design.extra_capacity_fraction.is_finite(),
             "design parameters must be finite"
         );
-        let battery_mwh = if strategy.uses_battery() {
-            design.battery_mwh
-        } else {
-            0.0
-        };
-        let extra_fraction = if strategy.uses_cas() {
-            design.extra_capacity_fraction
-        } else {
-            0.0
-        };
-        let peak = self.peak_demand_mw;
-        let capacity_cap = peak * (1.0 + extra_fraction);
+        let (battery_mwh, extra_fraction) = strategy_axes(strategy, design);
+        let capacity_cap = self.peak_demand_mw * (1.0 + extra_fraction);
 
         // Each arm reduces to (unmet energy, covered hours, operational
         // tons, cycles) hour by hour, with no per-hour series
@@ -370,7 +374,54 @@ impl CarbonExplorer {
             self.demand.len(),
         );
 
-        // Embodied accounting from the precomputed per-MW energy yields:
+        let (embodied_renewables_tons, embodied_battery_tons, embodied_servers_tons) =
+            self.embodied_terms(strategy, design, cycles);
+
+        EvaluatedDesign {
+            strategy,
+            design: *design,
+            coverage,
+            operational_tons,
+            embodied_renewables_tons,
+            embodied_battery_tons,
+            embodied_servers_tons,
+            battery_cycles: cycles,
+        }
+    }
+
+    /// The embodied carbon of `design` under `strategy`, tons CO2 per
+    /// year, as (renewables, battery, servers), with the battery amortized
+    /// over `cycles` equivalent full cycles per year. Scoring calls it with
+    /// the dispatch's cycle count; the optimum search calls it with zero
+    /// cycles for a lower bound on the point's total,
+    /// `(renewables + battery) + servers`, the association
+    /// [`EvaluatedDesign::embodied_tons`] uses. The bound is sound:
+    ///
+    /// - The renewables and servers terms do not depend on the dispatch,
+    ///   so the bound's are exact.
+    /// - At zero cycles the battery term is `manufacturing / cap` (the
+    ///   calendar cap). The scored term divides the same numerator by
+    ///   `min(life / cycles, cap) <= cap`, so it is no smaller whenever
+    ///   the numerator is `>= 0`, that is, whenever the battery's
+    ///   `total_kg_per_kwh` is.
+    /// - f64 addition and division are monotone, so the rounded sums keep
+    ///   these inequalities: embodied `>=` bound.
+    /// - In every strategy arm the operational term is a sum of unmet
+    ///   energy, each hour clamped at `>= 0`, times grid intensity. When
+    ///   every intensity sample is `>= 0` it is `>= 0`, so
+    ///   total `>=` embodied `>=` bound.
+    ///
+    /// Both preconditions are checked, not assumed: intensity once in
+    /// [`CarbonExplorer::new`], the battery coefficient on every search
+    /// (`with_embodied` accepts any value). When either fails the search
+    /// skips nothing.
+    fn embodied_terms(
+        &self,
+        strategy: StrategyKind,
+        design: &DesignPoint,
+        cycles: f64,
+    ) -> (f64, f64, f64) {
+        let (battery_mwh, extra_fraction) = strategy_axes(strategy, design);
         // `unit_sum × investment` replaces materializing (and summing) a
         // scaled generation series per design point.
         let solar_energy = if design.solar_mw > 0.0 {
@@ -383,29 +434,16 @@ impl CarbonExplorer {
         } else {
             0.0
         };
-        let embodied_renewables_tons = self
-            .embodied
-            .renewables
-            .total_tons(solar_energy, wind_energy);
-        let embodied_battery_tons =
-            self.embodied
+        let embodied = &self.embodied;
+        (
+            embodied.renewables.total_tons(solar_energy, wind_energy),
+            embodied
                 .battery
-                .amortized_tons_per_year(battery_mwh, self.dod, cycles);
-        let embodied_servers_tons = self
-            .embodied
-            .server
-            .amortized_tons_per_year(peak * extra_fraction);
-
-        EvaluatedDesign {
-            strategy,
-            design: *design,
-            coverage,
-            operational_tons,
-            embodied_renewables_tons,
-            embodied_battery_tons,
-            embodied_servers_tons,
-            battery_cycles: cycles,
-        }
+                .amortized_tons_per_year(battery_mwh, self.dod, cycles),
+            embodied
+                .server
+                .amortized_tons_per_year(self.peak_demand_mw * extra_fraction),
+        )
     }
 
     /// Materializes the renewable supply for one (solar, wind) group and
@@ -421,27 +459,11 @@ impl CarbonExplorer {
         sub: &[(f64, f64)],
         scratch: &mut EvalScratch,
     ) -> Vec<EvaluatedDesign> {
-        let EvalScratch {
-            supply,
-            schedule,
-            combined,
-            cost_order,
-        } = scratch;
-        let supply = supply
-            .get_or_insert_with(|| HourlySeries::zeros(self.demand.start(), self.demand.len()));
-        self.grid.scaled_renewables_into(solar_mw, wind_mw, supply);
-        if matches!(strategy, StrategyKind::RenewablesCas) {
-            cost_order.rebuild_from_deficit_slices(self.demand.values(), supply.values());
-        }
+        let mut walk = self.walk_group(strategy, solar_mw, wind_mw, scratch);
         sub.iter()
-            .map(|&(battery_mwh, extra_capacity_fraction)| {
-                let design = DesignPoint {
-                    solar_mw,
-                    wind_mw,
-                    battery_mwh,
-                    extra_capacity_fraction,
-                };
-                self.score_with_supply(strategy, &design, supply, schedule, combined, cost_order)
+            .map(|&axes| {
+                let design = walk.design(axes);
+                walk.score(&design)
             })
             .collect()
     }
@@ -522,77 +544,36 @@ impl CarbonExplorer {
     }
 
     /// The carbon-optimal design in `space` for `strategy` (minimum total
-    /// carbon), or `None` for an empty space.
+    /// carbon), or `None` for an empty space. It is the *first* minimum in
+    /// sweep order, bitwise what `explore(..).into_iter().min_by(..)`
+    /// returns, found without scoring every point.
     ///
-    /// Streams the minimum instead of materializing the full evaluation
-    /// vector: each worker folds its contiguous chunk of (solar, wind)
-    /// groups — supply cached once per group, exactly as in
-    /// [`CarbonExplorer::explore`] — down to a single best candidate, and
-    /// the per-chunk candidates are combined in input order with a
-    /// strictly-less replacement rule. That rule makes the *first*
-    /// minimum in sweep order win, matching what
-    /// `explore(..).into_iter().min_by(..)` returns, bitwise.
+    /// The search runs the factorized traversal of
+    /// [`CarbonExplorer::explore`] over strided lanes
+    /// ([`ce_parallel::par_fold_strided_with`]): lane `l` of `T` walks
+    /// groups `l, l + T, …` and keeps its first minimum with its
+    /// (group, sub-point) index pair. Before scoring a point the lane
+    /// computes a lower bound on its total carbon, its embodied carbon at
+    /// zero battery cycles (see [`CarbonExplorer::embodied_terms`] for why
+    /// it is sound), and skips the point when the bound is already `>=`
+    /// the lane incumbent's total: the incumbent comes earlier in sweep
+    /// order, so it would win even a tie. A group's supply is built only
+    /// when one of its points survives. Lanes combine by lower total,
+    /// then by lower index pair, which is exactly the first minimum in
+    /// sweep order whatever the lane count.
     pub fn optimal(&self, strategy: StrategyKind, space: &DesignSpace) -> Option<EvaluatedDesign> {
-        let space = space.restricted_to(strategy);
-        let (groups, sub) = factor_space(&space);
-        if sub.is_empty() {
-            return None;
-        }
-        ce_parallel::par_fold_chunks_with(
-            &groups,
-            EvalScratch::default,
-            |scratch, chunk| {
-                let mut best: Option<EvaluatedDesign> = None;
-                for &(solar_mw, wind_mw) in chunk {
-                    let EvalScratch {
-                        supply,
-                        schedule,
-                        combined,
-                        cost_order,
-                    } = scratch;
-                    let supply = supply.get_or_insert_with(|| {
-                        HourlySeries::zeros(self.demand.start(), self.demand.len())
-                    });
-                    self.grid.scaled_renewables_into(solar_mw, wind_mw, supply);
-                    if matches!(strategy, StrategyKind::RenewablesCas) {
-                        cost_order
-                            .rebuild_from_deficit_slices(self.demand.values(), supply.values());
-                    }
-                    for &(battery_mwh, extra_capacity_fraction) in &sub {
-                        let design = DesignPoint {
-                            solar_mw,
-                            wind_mw,
-                            battery_mwh,
-                            extra_capacity_fraction,
-                        };
-                        let eval = self.score_with_supply(
-                            strategy, &design, supply, schedule, combined, cost_order,
-                        );
-                        best = Some(match best.take() {
-                            Some(incumbent) => first_min(incumbent, eval),
-                            None => eval,
-                        });
-                    }
-                }
-                // Chunks and the sub-grid are non-empty, so `best` is
-                // always `Some`; carrying the `Option` through the combine
-                // keeps this path panic-free regardless.
-                best
-            },
-            |a, b| match (a, b) {
-                (Some(a), Some(b)) => Some(first_min(a, b)),
-                (a, None) => a,
-                (None, b) => b,
-            },
-        )
-        .flatten()
+        self.search(strategy, space, None)
     }
 
     /// [`CarbonExplorer::optimal`] followed by `rounds` of local
     /// refinement: each round re-sweeps a space of the same step count
-    /// centered on the incumbent with half the span per axis, quartering
-    /// the grid resolution around the optimum. This is how the harness
-    /// resolves near-100%-coverage optima that a coarse grid would miss.
+    /// centered on the incumbent with half the span per axis, halving the
+    /// grid spacing around the optimum. This is how the harness resolves
+    /// near-100%-coverage optima that a coarse grid would miss.
+    ///
+    /// A refined optimum replaces the incumbent only when its total is
+    /// strictly lower, so each round's search also skips every point whose
+    /// bound is `>=` the incumbent's total.
     pub fn optimal_refined(
         &self,
         strategy: StrategyKind,
@@ -603,13 +584,152 @@ impl CarbonExplorer {
         let mut current = space.clone();
         for _ in 0..rounds {
             current = zoom_axis_space(&current, space, &best.design);
-            if let Some(refined) = self.optimal(strategy, &current) {
+            if let Some(refined) = self.search(strategy, &current, Some(best.total_tons())) {
                 if refined.total_tons() < best.total_tons() {
                     best = refined;
                 }
             }
         }
         Some(best)
+    }
+
+    /// The search behind [`CarbonExplorer::optimal`]. With a `ceiling` it
+    /// also skips every point whose bound is `>=` the ceiling. The result
+    /// is then the first minimum when that minimum's total is below the
+    /// ceiling, and otherwise a point whose total is not (or `None`), so a
+    /// caller that keeps only a strictly lower total gets what the full
+    /// search would give it.
+    fn search(
+        &self,
+        strategy: StrategyKind,
+        space: &DesignSpace,
+        ceiling: Option<f64>,
+    ) -> Option<EvaluatedDesign> {
+        let space = space.restricted_to(strategy);
+        let (groups, sub) = factor_space(&space);
+        if sub.is_empty() {
+            return None;
+        }
+        let bounded = self.intensity_nonnegative && self.embodied.battery.total_kg_per_kwh() >= 0.0;
+        ce_parallel::par_fold_strided_with(
+            &groups,
+            EvalScratch::default,
+            |scratch, lane| {
+                let mut best: Option<Candidate> = None;
+                for (g, &(solar_mw, wind_mw)) in lane {
+                    let mut walk = self.walk_group(strategy, solar_mw, wind_mw, scratch);
+                    for (s, &axes) in sub.iter().enumerate() {
+                        let design = walk.design(axes);
+                        if bounded {
+                            let (renewables, battery, servers) =
+                                self.embodied_terms(strategy, &design, 0.0);
+                            let bound = renewables + battery + servers;
+                            let beaten = best.as_ref().is_some_and(|b| bound >= b.total)
+                                || ceiling.is_some_and(|c| bound >= c);
+                            if beaten {
+                                continue;
+                            }
+                        }
+                        let eval = walk.score(&design);
+                        let candidate = Candidate {
+                            index: (g, s),
+                            total: eval.total_tons(),
+                            eval,
+                        };
+                        if best.as_ref().is_none_or(|b| candidate.displaces(b)) {
+                            best = Some(candidate);
+                        }
+                    }
+                }
+                best
+            },
+            |a, b| match (a, b) {
+                (Some(a), Some(b)) => Some(if b.displaces(&a) { b } else { a }),
+                (a, None) => a,
+                (None, b) => b,
+            },
+        )
+        .flatten()
+        .map(|best| best.eval)
+    }
+}
+
+/// One (solar, wind) supply group being scored. The group's supply, and
+/// for CAS its [`CostOrder`], are built into the scratch on the first
+/// [`GroupWalk::score`], so a walk that skips all of its points builds
+/// neither.
+struct GroupWalk<'a> {
+    explorer: &'a CarbonExplorer,
+    strategy: StrategyKind,
+    solar_mw: f64,
+    wind_mw: f64,
+    scratch: &'a mut EvalScratch,
+    built: bool,
+}
+
+impl GroupWalk<'_> {
+    /// The group's design point at sub-grid coordinates
+    /// `(battery_mwh, extra_capacity_fraction)`.
+    fn design(&self, (battery_mwh, extra_capacity_fraction): (f64, f64)) -> DesignPoint {
+        DesignPoint {
+            solar_mw: self.solar_mw,
+            wind_mw: self.wind_mw,
+            battery_mwh,
+            extra_capacity_fraction,
+        }
+    }
+
+    /// Scores `design`, whose solar and wind are the group's.
+    fn score(&mut self, design: &DesignPoint) -> EvaluatedDesign {
+        let explorer = self.explorer;
+        let demand = &explorer.demand;
+        let EvalScratch {
+            supply,
+            schedule,
+            combined,
+            cost_order,
+        } = &mut *self.scratch;
+        let supply = supply
+            // ce:allow(hot-path-transitive-alloc, reason = "scratch warm-up: zeros runs once, before the steady state the rule guards")
+            .get_or_insert_with(|| HourlySeries::zeros(demand.start(), demand.len()));
+        if !self.built {
+            explorer
+                .grid
+                .scaled_renewables_into(self.solar_mw, self.wind_mw, supply);
+            if matches!(self.strategy, StrategyKind::RenewablesCas) {
+                cost_order.rebuild_from_deficit_slices(demand.values(), supply.values());
+            }
+            self.built = true;
+        }
+        explorer.score_with_supply(
+            self.strategy,
+            design,
+            supply,
+            schedule,
+            combined,
+            cost_order,
+        )
+    }
+}
+
+/// A lane's best point so far, with its (group, sub-point) index pair in
+/// sweep order and its total carbon.
+struct Candidate {
+    index: (usize, usize),
+    total: f64,
+    eval: EvaluatedDesign,
+}
+
+impl Candidate {
+    /// Whether `self` replaces `incumbent` as the first minimum in sweep
+    /// order: a strictly lower total, or an equal one at an earlier index
+    /// pair. Totals can be +∞ (a battery calendar cap of 0 years); equal
+    /// infinities tie like any other total. A NaN total (0/0: all-zero
+    /// battery coefficients with a calendar cap of 0 years) compares false
+    /// both ways, as in the serial strictly-less fold.
+    fn displaces(&self, incumbent: &Candidate) -> bool {
+        self.total < incumbent.total
+            || (self.total == incumbent.total && self.index < incumbent.index)
     }
 }
 
@@ -642,17 +762,20 @@ fn factor_space(space: &DesignSpace) -> (AxisPairs, AxisPairs) {
     (groups, sub)
 }
 
-/// First-minimum-wins combine: the candidate replaces the incumbent only
-/// when strictly lower, so ties keep the earlier point in sweep order —
-/// the same winner `Iterator::min_by` would select over the flat sweep.
-/// Totals are finite (`score_with_supply` rejects non-finite designs), so
-/// the plain `<` is exactly `partial_cmp == Less`.
-fn first_min(incumbent: EvaluatedDesign, candidate: EvaluatedDesign) -> EvaluatedDesign {
-    if candidate.total_tons() < incumbent.total_tons() {
-        candidate
+/// `design`'s battery size and extra capacity as `strategy` uses them:
+/// an axis the strategy does not use reads 0.
+fn strategy_axes(strategy: StrategyKind, design: &DesignPoint) -> (f64, f64) {
+    let battery_mwh = if strategy.uses_battery() {
+        design.battery_mwh
     } else {
-        incumbent
-    }
+        0.0
+    };
+    let extra_fraction = if strategy.uses_cas() {
+        design.extra_capacity_fraction
+    } else {
+        0.0
+    };
+    (battery_mwh, extra_fraction)
 }
 
 /// Shrinks each axis of `current` to half its span, centered on `around`,

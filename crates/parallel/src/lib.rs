@@ -22,6 +22,11 @@
 //!   scratch value for its whole chunk, the std-thread equivalent of
 //!   rayon's thread-local `map_init` — allocation-free inner loops reuse
 //!   buffers across a chunk.
+//! - **Strided reductions**: [`par_fold_strided_with`] deals items to
+//!   lanes round-robin and hands each lane its items' input indices, so a
+//!   reduction that skips work unevenly along the input still splits it
+//!   evenly, and an index tie-break keeps its result equal to the serial
+//!   fold's.
 //!
 //! The worker count comes from `std::thread::available_parallelism`,
 //! overridable with the `CE_THREADS` environment variable (`CE_THREADS=1`
@@ -32,6 +37,8 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
+use std::iter::{Enumerate, Skip, StepBy};
+use std::slice;
 use std::thread;
 
 thread_local! {
@@ -148,61 +155,89 @@ where
     results
 }
 
-/// Parallel fold-then-combine: each worker folds its contiguous chunk of
-/// `items` into a single accumulator with `fold_chunk`, and the chunk
-/// accumulators are combined **in input order** with `combine` on the
-/// joining thread. Returns `None` for empty input.
+/// The items one lane of [`par_fold_strided_with`] folds: `(index, item)`
+/// pairs at indices `l, l + T, l + 2T, …` for lane `l` of `T`, in
+/// increasing index order.
+pub type Lane<'a, T> = StepBy<Skip<Enumerate<slice::Iter<'a, T>>>>;
+
+/// Parallel strided fold-then-combine: lane `l` of `T` folds items `l`,
+/// `l + T`, `l + 2T`, … (in that order, each paired with its input index)
+/// into one accumulator with `fold_lane`, and the lane accumulators are
+/// combined **in lane order** with `combine` on the joining thread.
+/// Returns `None` for empty input.
 ///
-/// This is the reduction counterpart of [`par_map_with`] — the whole
-/// point is that nothing proportional to `items.len()` is materialized:
-/// a sweep looking for a minimum carries one candidate per worker instead
-/// of a full result vector. Because chunks are contiguous and combined in
-/// input order, any `combine` that is associative over ordered
-/// concatenation (min-with-first-winner, sum-reordering-insensitive
-/// folds, …) produces results identical to the serial
-/// `fold_chunk(&mut init(), items)` — for first-winner minima this holds
-/// even with floating-point keys, since no comparison is reordered, only
-/// regrouped.
+/// This is the reduction counterpart of [`par_map_with`]: nothing
+/// proportional to `items.len()` is materialized, so a sweep looking for
+/// a minimum carries one candidate per lane instead of a full result
+/// vector. Striding rather than chunking spreads every region of the
+/// input across all lanes, so a fold whose cost falls along the input
+/// (one that skips work it can prove useless) still keeps every worker
+/// busy. A lane sees its items in increasing index order, and the
+/// indices let `combine` restore input order: a first-winner minimum
+/// that breaks ties by the lower index selects exactly what the serial
+/// fold over all items selects.
 ///
-/// Falls back to a single serial fold for tiny inputs, one available
+/// Falls back to a single serial lane for a single item, one available
 /// thread, or when called from inside a parallel region.
-pub fn par_fold_chunks_with<T, S, A, I, F, C>(
+pub fn par_fold_strided_with<T, S, A, I, F, C>(
     items: &[T],
     init: I,
-    fold_chunk: F,
+    fold_lane: F,
+    combine: C,
+) -> Option<A>
+where
+    T: Sync,
+    A: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, Lane<'_, T>) -> A + Sync,
+    C: FnMut(A, A) -> A,
+{
+    fold_strided(items, max_threads(), init, fold_lane, combine)
+}
+
+/// [`par_fold_strided_with`] over at most `lanes` lanes.
+fn fold_strided<T, S, A, I, F, C>(
+    items: &[T],
+    lanes: usize,
+    init: I,
+    fold_lane: F,
     mut combine: C,
 ) -> Option<A>
 where
     T: Sync,
     A: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, &[T]) -> A + Sync,
+    F: Fn(&mut S, Lane<'_, T>) -> A + Sync,
     C: FnMut(A, A) -> A,
 {
     if items.is_empty() {
         return None;
     }
-    let threads = max_threads().min(items.len());
-    if threads <= 1 || items.len() <= 1 || in_parallel_region() {
-        return Some(fold_chunk(&mut init(), items));
+    let lanes = if in_parallel_region() {
+        1
+    } else {
+        lanes.clamp(1, items.len())
+    };
+    let lane = |l: usize| items.iter().enumerate().skip(l).step_by(lanes);
+    if lanes == 1 {
+        return Some(fold_lane(&mut init(), lane(0)));
     }
 
-    let chunk_size = items.len().div_ceil(threads);
     let mut result: Option<A> = None;
     thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(|| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|l| {
+                let (init, fold_lane) = (&init, &fold_lane);
+                scope.spawn(move || {
                     IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    let acc = fold_chunk(&mut init(), chunk);
+                    let acc = fold_lane(&mut init(), lane(l));
                     IN_PARALLEL_REGION.with(|flag| flag.set(false));
                     acc
                 })
             })
             .collect();
         // Joining in spawn order keeps the combine sequence identical to
-        // the chunk order, hence deterministic.
+        // the lane order, hence deterministic.
         for handle in handles {
             let acc = match handle.join() {
                 Ok(acc) => acc,
@@ -279,84 +314,143 @@ mod tests {
         assert!(!in_parallel_region());
     }
 
-    #[test]
-    fn fold_chunks_matches_serial_fold() {
-        let items: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 7919) % 1000) as f64 * 0.5)
-            .collect();
-        // First-winner minimum: the parallel regrouping must pick the same
-        // (value, index) as a serial left fold.
-        let fold = |_: &mut (), chunk: &[f64]| {
-            chunk
-                .iter()
-                .enumerate()
-                .fold(None::<(f64, usize)>, |best, (i, &v)| match best {
-                    Some((bv, bi)) if bv <= v => Some((bv, bi)),
-                    _ => Some((v, i)),
-                })
-        };
-        let combine = |a: Option<(f64, usize)>, b: Option<(f64, usize)>| match (a, b) {
-            (Some((av, ai)), Some((bv, _))) if av <= bv => Some((av, ai)),
-            (a, None) => a,
-            (_, b) => b,
-        };
-        // Indices are chunk-local, so compare values only (the value of
-        // the first minimum is position-independent).
-        let parallel = par_fold_chunks_with(&items, || (), fold, combine)
-            .flatten()
-            .map(|(v, _)| v);
-        let serial = fold(&mut (), &items).map(|(v, _)| v);
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn fold_chunks_combines_in_input_order() {
-        let items: Vec<usize> = (0..5_000).collect();
-        // Concatenating per-chunk (first, last) pairs in combine order
-        // must reconstruct the full input range.
-        let folded = par_fold_chunks_with(
+    /// Each lane's indices, lanes concatenated in combine order.
+    fn lane_indices(n: usize, lanes: usize) -> Option<Vec<Vec<usize>>> {
+        let items: Vec<usize> = (0..n).map(|i| i * 10).collect();
+        fold_strided(
             &items,
+            lanes,
             || (),
-            |_, chunk| vec![(chunk[0], *chunk.last().unwrap())],
+            |(), lane| {
+                vec![lane
+                    .map(|(i, &item)| {
+                        assert_eq!(item, i * 10, "index paired with the wrong item");
+                        i
+                    })
+                    .collect::<Vec<usize>>()]
+            },
             |mut a, b| {
                 a.extend(b);
                 a
             },
         )
-        .unwrap();
-        assert_eq!(folded.first().unwrap().0, 0);
-        assert_eq!(folded.last().unwrap().1, 4_999);
-        for pair in folded.windows(2) {
-            assert_eq!(pair[0].1 + 1, pair[1].0, "chunks out of order: {folded:?}");
+    }
+
+    #[test]
+    fn strided_lanes_cover_every_item_in_lane_order() {
+        // Fewer, equal and more items than lanes, for 1 to 5 lanes.
+        for lanes in 1..=5 {
+            for n in 1..=12 {
+                let used = lanes.min(n);
+                let expected: Vec<Vec<usize>> =
+                    (0..used).map(|l| (l..n).step_by(used).collect()).collect();
+                assert_eq!(
+                    lane_indices(n, lanes),
+                    Some(expected),
+                    "{n} items over {lanes} lanes"
+                );
+            }
         }
     }
 
     #[test]
-    fn fold_chunks_empty_input_is_none() {
+    fn strided_fold_of_empty_input_is_none() {
+        for lanes in 1..=5 {
+            assert_eq!(lane_indices(0, lanes), None);
+        }
         let empty: Vec<u32> = Vec::new();
-        let result = par_fold_chunks_with(&empty, || (), |_, c| c.len(), |a, b| a + b);
-        assert_eq!(result, None);
+        assert_eq!(
+            par_fold_strided_with(&empty, || (), |(), lane| lane.count(), |a, b| a + b),
+            None
+        );
     }
 
     #[test]
-    fn fold_chunks_scratch_is_per_worker() {
+    fn strided_first_minimum_matches_serial_fold() {
+        // Many ties: the lane folds keep their first minimum, and the
+        // combine breaks ties by the lower index, so every lane count must
+        // select the serial fold's (value, index).
+        let items: Vec<f64> = (0..1_000)
+            .map(|i| ((i * 7919) % 100) as f64 * 0.5)
+            .collect();
+        let fold = |(): &mut (), lane: Lane<'_, f64>| {
+            lane.fold(None::<(f64, usize)>, |best, (i, &v)| match best {
+                Some((bv, _)) if bv <= v => best,
+                _ => Some((v, i)),
+            })
+        };
+        let combine = |a: Option<(f64, usize)>, b: Option<(f64, usize)>| match (a, b) {
+            (Some((av, ai)), Some((bv, bi))) => {
+                if bv < av || (bv == av && bi < ai) {
+                    b
+                } else {
+                    a
+                }
+            }
+            (a, None) => a,
+            (None, b) => b,
+        };
+        let min = items.iter().copied().fold(f64::INFINITY, f64::min);
+        let serial = items.iter().position(|&v| v == min).map(|i| (min, i));
+        assert_eq!(serial, Some((0.0, 0)));
+        for lanes in 1..=5 {
+            let strided = fold_strided(&items, lanes, || (), fold, combine).flatten();
+            assert_eq!(strided, serial, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn strided_scratch_is_per_lane() {
         let items: Vec<usize> = (0..1_000).collect();
-        let inits = AtomicUsize::new(0);
-        let total = par_fold_chunks_with(
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |scratch, chunk| {
-                *scratch += chunk.len();
-                *scratch
-            },
-            |a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(total, items.len());
-        assert!(inits.load(Ordering::SeqCst) <= max_threads());
+        for lanes in 1..=5 {
+            let inits = AtomicUsize::new(0);
+            let total = fold_strided(
+                &items,
+                lanes,
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    0usize
+                },
+                |scratch, lane| {
+                    *scratch += lane.count();
+                    *scratch
+                },
+                |a, b| a + b,
+            );
+            assert_eq!(total, Some(items.len()));
+            assert_eq!(inits.load(Ordering::SeqCst), lanes);
+        }
+    }
+
+    #[test]
+    fn strided_fold_inside_a_parallel_region_runs_one_lane() {
+        let nested = run_serial(|| lane_indices(7, 3));
+        assert_eq!(nested, Some(vec![(0..7).collect()]));
+        assert!(!in_parallel_region());
+    }
+
+    #[test]
+    fn strided_lane_panic_propagates() {
+        let items: Vec<usize> = (0..64).collect();
+        for lanes in 1..=5 {
+            let result = std::panic::catch_unwind(|| {
+                fold_strided(
+                    &items,
+                    lanes,
+                    || (),
+                    |(), lane| {
+                        lane.map(|(_, &x)| {
+                            assert!(x != 13, "boom");
+                            x
+                        })
+                        .sum::<usize>()
+                    },
+                    |a, b| a + b,
+                )
+            });
+            assert!(result.is_err(), "{lanes} lanes");
+            assert!(!in_parallel_region());
+        }
     }
 
     #[test]
