@@ -36,16 +36,6 @@ impl CallGraph {
         Self { adj }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
         self.adj.iter().map(Vec::len).sum()

@@ -89,7 +89,7 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
     (
         "dead-pub-api",
         "call-graph (ratcheted)",
-        "pub items referenced nowhere in the workspace, tests, benches, or examples",
+        "pub items with no caller in library, binary, example or benchmark code (tests do not count)",
     ),
     (
         "determinism-taint",
@@ -220,7 +220,6 @@ impl Default for Config {
                 "DispatchStats",
                 "CombinedStats",
                 "DeficitStats",
-                "QueueStats",
                 "EvaluatedDesign",
             ],
             hot_forbidden_methods: vec![

@@ -4,9 +4,11 @@
 //! Scan set: `crates/*/src/**/*.rs` plus the facade crate's `src/**/*.rs`,
 //! in sorted path order so output (and the JSON report) is deterministic —
 //! the analyzer holds itself to the invariants it enforces. `vendor/` and
-//! `target/` are out of scope. Tests, benches, and examples are scanned as
-//! *reference* files only: their identifiers feed the `dead-pub-api`
-//! liveness index, but no rules run on them.
+//! `target/` are out of scope. Examples and `perfbench/src` (the
+//! repository benchmark, built outside the workspace against its crates)
+//! are scanned as *reference* files only: their identifiers feed the
+//! `dead-pub-api` liveness index, but no rules run on them. Tests are not
+//! callers, so `tests/` directories are not scanned at all.
 //!
 //! File reading is sequential; the per-file work (lexing, file-local
 //! rules, item extraction) fans out over `ce_parallel::par_map`, whose
@@ -193,8 +195,8 @@ pub struct WorkspaceAnalysis {
 
 /// Runs both passes over in-memory sources. `lib_sources` are
 /// `(workspace-relative path, contents)` pairs for library files (rules +
-/// extraction); `ref_sources` are tests/benches/examples (reference index
-/// only). Pure: same inputs, same output, parallel or serial.
+/// extraction); `ref_sources` are examples and the benchmark (reference
+/// index only). Pure: same inputs, same output, parallel or serial.
 pub fn analyze_workspace(
     lib_sources: &[(String, String)],
     ref_sources: &[(String, String)],
@@ -260,8 +262,8 @@ pub fn analyze_workspace(
 pub type SourceSet = Vec<(String, String)>;
 
 /// Reads both scan sets from disk: library sources (rules + extraction)
-/// and reference sources (tests/benches/examples, liveness index only),
-/// each as sorted `(workspace-relative path, contents)` pairs.
+/// and reference sources (examples and `perfbench/src`, liveness index
+/// only), each as sorted `(workspace-relative path, contents)` pairs.
 ///
 /// # Errors
 ///
@@ -620,9 +622,9 @@ fn apply_reach_ratchet(
                     line: d.line,
                     col: 1,
                     message: format!(
-                        "pub {} `{}` is never referenced anywhere in the workspace, tests, \
-                         benches, or examples — {} dead pub items in this file vs baseline \
-                         {allowed}",
+                        "pub {} `{}` has no caller in library, binary, example or benchmark \
+                         code (tests, `pub use` re-exports and the type's own impls do not \
+                         count) — {} dead pub items in this file vs baseline {allowed}",
                         d.kind,
                         d.name,
                         findings.len()
@@ -675,27 +677,22 @@ fn scan_set(root: &Path) -> Result<Vec<String>, String> {
     Ok(files)
 }
 
-/// Collects the reference scan set — tests, benches, and examples across
-/// the workspace — sorted. These feed the `dead-pub-api` liveness index
-/// only.
+/// Collects the reference scan set — every crate's and the root's
+/// `examples/`, plus `perfbench/src` — sorted. These are callers that no
+/// rule runs on; they feed the `dead-pub-api` liveness index only.
 fn ref_scan_set(root: &Path) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     let entries = fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    for entry in entries.flatten() {
-        for sub in ["tests", "benches", "examples"] {
-            let dir = entry.path().join(sub);
-            if dir.is_dir() {
-                walk_rs(&dir, root, &mut files)?;
-            }
-        }
-    }
-    for sub in ["tests", "examples", "benches"] {
-        let dir = root.join(sub);
-        if dir.is_dir() {
-            walk_rs(&dir, root, &mut files)?;
-        }
+    let mut dirs: Vec<PathBuf> = entries
+        .flatten()
+        .map(|entry| entry.path().join("examples"))
+        .collect();
+    dirs.push(root.join("examples"));
+    dirs.push(root.join("perfbench").join("src"));
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        walk_rs(dir, root, &mut files)?;
     }
     files.sort();
     Ok(files)

@@ -8,8 +8,9 @@
 //! per-function *facts* the graph rules reason about (allocation sites,
 //! panic sites including slice indexing, nondeterminism-allowance uses),
 //! every `pub` item eligible for dead-API detection, the file's `use`
-//! imports, and a count of every identifier mentioned (the reference index
-//! liveness is judged against).
+//! imports, and a count of every identifier that a real caller mentions
+//! (the reference index liveness is judged against; tests, `pub use`
+//! re-exports and a type's own `impl` blocks are left out).
 //!
 //! Extraction is purely syntactic and deliberately over-approximate in
 //! the same direction everywhere: when the tokens are ambiguous, we record
@@ -20,6 +21,7 @@ use crate::config::crate_key;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::rules::{fn_prefix_info, item_end, matching_brace, matching_paren, test_region_mask};
 use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
 
 /// One fact location inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,8 +172,9 @@ pub struct FileItems {
     pub imports: Vec<(String, Vec<String>)>,
     /// Glob imports (`use a::b::*`): the path prefix segments.
     pub globs: Vec<Vec<String>>,
-    /// Identifier reference counts over every code token in the file
-    /// (test regions included — a test is a legitimate consumer).
+    /// Identifier reference counts over the file's code tokens, leaving
+    /// out test regions, `pub use` re-exports and a type's own `impl`
+    /// blocks: only real callers keep a pub item live.
     pub refs: Vec<(String, usize)>,
 }
 
@@ -283,6 +286,7 @@ pub fn extract(rel_path: &str, source: &str) -> FileItems {
     let test_mask = test_region_mask(&code);
     let impls = impl_spans(&code);
     let raw_fns = fn_spans(&code);
+    let counted = reference_mask(&code, &test_mask, &impls);
 
     let key = crate_key(rel_path);
     let is_bin = rel_path.ends_with("/main.rs") || rel_path.contains("/src/bin/");
@@ -349,6 +353,7 @@ pub fn extract(rel_path: &str, source: &str) -> FileItems {
         collect_pub_items(
             &code,
             &test_mask,
+            &counted,
             rel_path,
             &key,
             &allow_markers,
@@ -360,10 +365,8 @@ pub fn extract(rel_path: &str, source: &str) -> FileItems {
 
     let (imports, globs) = collect_imports(&code);
     let mut ref_counts: std::collections::BTreeMap<String, usize> = Default::default();
-    for t in &code {
-        if t.kind == TokenKind::Ident {
-            *ref_counts.entry(t.text.clone()).or_insert(0) += 1;
-        }
+    for (t, _) in code.iter().zip(&counted).filter(|(_, &c)| c) {
+        *ref_counts.entry(t.text.clone()).or_insert(0) += 1;
     }
 
     FileItems {
@@ -378,6 +381,8 @@ pub fn extract(rel_path: &str, source: &str) -> FileItems {
 
 /// An `impl` block span with its subject type.
 struct ImplSpan {
+    /// Index of the `impl` keyword.
+    start: usize,
     open: usize,
     close: usize,
     owner: String,
@@ -433,6 +438,7 @@ fn impl_spans(code: &[&Token]) -> Vec<ImplSpan> {
         };
         let close = matching_brace(code, open);
         spans.push(ImplSpan {
+            start: i,
             open,
             close,
             owner: owner.unwrap_or_default(),
@@ -931,6 +937,7 @@ fn is_keyword(text: &str) -> bool {
 fn collect_pub_items(
     code: &[&Token],
     test_mask: &[bool],
+    counted: &[bool],
     rel_path: &str,
     key: &str,
     allow_markers: &[(u32, String)],
@@ -957,10 +964,7 @@ fn collect_pub_items(
                 if is_pub {
                     let name = code[i + 1].text.clone();
                     let end = item_end(code, i);
-                    let own_refs = code[i..=end.min(code.len() - 1)]
-                        .iter()
-                        .filter(|t| t.is_ident(&name))
-                        .count();
+                    let own_refs = own_ref_count(code, counted, i..=end, &name);
                     out.push(PubItem {
                         file: rel_path.to_string(),
                         crate_key: key.to_string(),
@@ -988,10 +992,7 @@ fn collect_pub_items(
             .find(|r| code[r.fn_idx].line == f.line && r.name == f.name)
             .and_then(|r| r.body.map(|(_, c)| (r.fn_idx, c)));
         let own_refs = match span {
-            Some((start, end)) => code[start..=end.min(code.len() - 1)]
-                .iter()
-                .filter(|t| t.is_ident(&f.name))
-                .count(),
+            Some((start, end)) => own_ref_count(code, counted, start..=end, &f.name),
             None => 1,
         };
         out.push(PubItem {
@@ -1004,6 +1005,49 @@ fn collect_pub_items(
             allows: f.allows.clone(),
         });
     }
+}
+
+/// Counted references to `name` inside the definition spanning code
+/// indexes `span`.
+fn own_ref_count(
+    code: &[&Token],
+    counted: &[bool],
+    span: RangeInclusive<usize>,
+    name: &str,
+) -> usize {
+    code.iter()
+        .zip(counted)
+        .enumerate()
+        .filter(|(k, (t, &c))| c && span.contains(k) && t.is_ident(name))
+        .count()
+}
+
+/// Which code tokens count as references for `dead-pub-api`: identifiers
+/// outside test regions, outside `pub use` re-exports, and outside the
+/// `impl` blocks (trait impls included) of the type they name. A type's
+/// own impls, a re-export and a test are not callers.
+fn reference_mask(code: &[&Token], test_mask: &[bool], impls: &[ImplSpan]) -> Vec<bool> {
+    let mut counted: Vec<bool> = code
+        .iter()
+        .zip(test_mask)
+        .map(|(t, &test)| t.kind == TokenKind::Ident && !test)
+        .collect();
+    let mut in_reexport = false;
+    for (i, (t, c)) in code.iter().zip(counted.iter_mut()).enumerate() {
+        if t.is_ident("use") && fn_prefix_info(code, i).0 {
+            in_reexport = true;
+        }
+        let own_impl = impls
+            .iter()
+            .any(|im| im.owner == t.text && (im.start..=im.close).contains(&i));
+        if in_reexport || own_impl {
+            *c = false;
+        }
+        if t.is_punct(";") {
+            in_reexport = false;
+        }
+    }
+    counted
 }
 
 /// Parses every `use` declaration into (local name → path segments) plus
@@ -1286,8 +1330,15 @@ mod tests {
     }
 
     #[test]
-    fn refs_count_all_identifiers() {
-        let src = "fn f() { g(); }\n#[cfg(test)]\nmod tests { fn t() { super::f(); } }";
+    fn refs_count_only_real_callers() {
+        let src = "pub use inner::{f, Shape};\n\
+                   pub struct Shape;\n\
+                   impl Shape { pub fn new() -> Shape { Shape } }\n\
+                   impl Default for Shape { fn default() -> Self { Shape::new() } }\n\
+                   fn f() { g(); }\n\
+                   fn h() -> Shape { Shape::new() }\n\
+                   #[test]\nfn direct() { f(); }\n\
+                   #[cfg(test)]\nmod tests { fn t() { super::f(); super::g(); } }";
         let items = extract("crates/core/src/x.rs", src);
         let count = |n: &str| {
             items
@@ -1297,8 +1348,15 @@ mod tests {
                 .map(|(_, c)| *c)
                 .unwrap_or(0)
         };
-        assert_eq!(count("f"), 2);
+        // `f`: its definition only — not the re-export, not the tests.
+        assert_eq!(count("f"), 1);
         assert_eq!(count("g"), 1);
+        // `Shape`: its definition and `h`'s two mentions — not the
+        // re-export and none of the five inside its own impls.
+        assert_eq!(count("Shape"), 3);
+        assert_eq!(count("new"), 3);
+        let shape = items.pub_items.iter().find(|p| p.name == "Shape").unwrap();
+        assert_eq!(shape.own_refs, 1);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! static-analysis pass (the workspace builds offline, so no `syn`) with a
 //! [hand-rolled lexer](lexer) and a **three-pass** architecture. Pass 1
 //! lexes every library file in parallel, runs the file-local
-//! [rules](rules), and [extracts](items) each file's items — functions,
+//! [rules], and [extracts](items) each file's items — functions,
 //! impl owners, visibility, `ce:` markers, call sites, and per-function
 //! alloc/panic/nondeterminism/blocking/unsafe/cast/`SeqCst` facts. Pass 2
-//! is a conservative intraprocedural [dataflow](dataflow) walk over each
+//! is a conservative intraprocedural [dataflow] walk over each
 //! function body, tracking integer constants, `len()`-derived bounds,
 //! `min`/`clamp` range facts, and guard conditions, and classifying every
 //! unchecked arithmetic and bracket-index site as *proven in-range* or
@@ -62,8 +62,10 @@
 //!     shortest witness call path, ratcheted by `reach-baseline.json`
 //!     (dataflow-proven index sites are not panic facts, so proofs burn
 //!     this baseline down);
-//! 14. `dead-pub-api` — `pub` items never referenced anywhere in the
-//!     workspace, tests, benches, or examples (same ratchet file);
+//! 14. `dead-pub-api` — `pub` items with no real caller: no reference
+//!     from non-test library or binary code, the facade, examples or
+//!     `perfbench/src` (tests, `pub use` re-exports and a type's own
+//!     impls do not count; same ratchet file);
 //! 15. `determinism-taint` — deterministic crates must not call into
 //!     functions that reach a wall-clock or socket use;
 //! 16. `blocking-in-event-loop` — a `// ce:nonblocking` fn (the serve

@@ -79,24 +79,6 @@ impl CrateGraph {
         Ok(Self::from_direct(ident_to_key, direct))
     }
 
-    /// Builds a graph from explicit `(crate, deps)` edges — test harness
-    /// entry point; keys double as code identifiers.
-    pub fn from_edges(edges: &[(&str, &[&str])]) -> Self {
-        let mut direct = BTreeMap::new();
-        let mut ident_to_key = BTreeMap::new();
-        for (key, deps) in edges {
-            // Register both the bare key and the real-world code ident
-            // (`ce_timeseries` for the `timeseries` crate dir).
-            ident_to_key.insert((*key).to_string(), (*key).to_string());
-            ident_to_key.insert(format!("ce_{key}"), (*key).to_string());
-            direct.insert(
-                (*key).to_string(),
-                deps.iter().map(|d| (*d).to_string()).collect(),
-            );
-        }
-        Self::from_direct(ident_to_key, direct)
-    }
-
     fn from_direct(
         ident_to_key: BTreeMap<String, String>,
         direct: BTreeMap<String, BTreeSet<String>>,
@@ -222,7 +204,7 @@ pub struct Workspace {
     /// Imports per library file.
     pub imports: BTreeMap<String, FileImports>,
     /// Global identifier reference counts over library files **and**
-    /// reference files (tests/benches/examples) — the liveness index.
+    /// reference files (examples and the benchmark) — the liveness index.
     pub refs: BTreeMap<String, usize>,
     /// The crate dependency graph.
     pub crates: CrateGraph,
@@ -230,8 +212,8 @@ pub struct Workspace {
 
 impl Workspace {
     /// Merges per-file extractions. `lib` files contribute functions,
-    /// pub items, imports, and references; `refs_only` files (tests,
-    /// benches, examples) contribute references alone.
+    /// pub items, imports, and references; `refs_only` files (examples
+    /// and the benchmark) contribute references alone.
     pub fn build(lib: Vec<FileItems>, refs_only: Vec<FileItems>, crates: CrateGraph) -> Self {
         let mut ws = Workspace {
             crates,
@@ -431,6 +413,26 @@ mod tests {
     use super::*;
     use crate::items::extract;
 
+    impl CrateGraph {
+        /// Builds a graph from explicit `(crate, deps)` edges; keys double as
+        /// code identifiers.
+        fn from_edges(edges: &[(&str, &[&str])]) -> Self {
+            let mut direct = BTreeMap::new();
+            let mut ident_to_key = BTreeMap::new();
+            for (key, deps) in edges {
+                // Register both the bare key and the real-world code ident
+                // (`ce_timeseries` for the `timeseries` crate dir).
+                ident_to_key.insert((*key).to_string(), (*key).to_string());
+                ident_to_key.insert(format!("ce_{key}"), (*key).to_string());
+                direct.insert(
+                    (*key).to_string(),
+                    deps.iter().map(|d| (*d).to_string()).collect(),
+                );
+            }
+            Self::from_direct(ident_to_key, direct)
+        }
+    }
+
     fn two_crate_ws() -> Workspace {
         let kernels = extract(
             "crates/timeseries/src/kernels.rs",
@@ -561,9 +563,9 @@ mod tests {
     #[test]
     fn refs_merge_lib_and_ref_files() {
         let lib = extract("crates/core/src/x.rs", "pub fn solo() {}");
-        let test = extract("crates/core/tests/t.rs", "fn t() { solo(); }");
+        let example = extract("examples/e.rs", "fn main() { solo(); }");
         let crates = CrateGraph::from_edges(&[("core", &[])]);
-        let ws = Workspace::build(vec![lib], vec![test], crates);
+        let ws = Workspace::build(vec![lib], vec![example], crates);
         assert_eq!(ws.refs_to("solo"), 2);
     }
 }

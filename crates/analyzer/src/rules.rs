@@ -1318,11 +1318,13 @@ fn rule_panic_reachability(ws: &Workspace, graph: &CallGraph, out: &mut Vec<Reac
     }
 }
 
-/// `dead-pub-api`: a `pub` item in a library crate that no identifier
-/// anywhere in the workspace (src, tests, benches, examples) refers to
-/// beyond its own definition. Name-based and therefore conservative in
-/// the safe direction: a name collision keeps an item alive, never the
-/// reverse.
+/// `dead-pub-api`: a `pub` item in a library crate that no real caller
+/// refers to beyond its own definition. Callers are non-test code in the
+/// crates' `src/` (libraries and binaries), the facade, examples and
+/// `perfbench/src`; tests, `pub use` re-exports and a type's own `impl`
+/// blocks are not (see [`FileItems::refs`](crate::items::FileItems)).
+/// Name-based and therefore conservative in the safe direction: a name
+/// collision keeps an item alive, never the reverse.
 fn rule_dead_pub_api(ws: &Workspace, out: &mut Vec<DeadFinding>) {
     const RULE: &str = "dead-pub-api";
     for p in &ws.pub_items {

@@ -348,45 +348,13 @@ fn graph_case_dir(name: &str) -> PathBuf {
     fixtures_dir().join("graph").join(name)
 }
 
-/// Recursively collects `(case-relative path, contents)` for every `.rs`
-/// file under `dir`, sorted by path.
-fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_sources(root, &path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path
-                .strip_prefix(root)
-                .expect("fixture path under case root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            let src = fs::read_to_string(&path).expect("fixture file readable");
-            out.push((rel, src));
-        }
-    }
-}
-
-/// Runs both analysis passes over one graph case.
+/// Runs both analysis passes over one graph case, with the driver's own
+/// scan sets (so a case's `tests/` files are not callers, while its
+/// `examples/` and `perfbench/src` are).
 fn analyze_graph_case(case: &GraphCase) -> WorkspaceAnalysis {
     let dir = graph_case_dir(case.name);
     let crates = CrateGraph::from_root(&dir).expect("fixture manifests parse");
-    let mut lib = Vec::new();
-    let mut refs = Vec::new();
-    let crates_dir = dir.join("crates");
-    if let Ok(entries) = fs::read_dir(&crates_dir) {
-        let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for crate_dir in dirs {
-            collect_sources(&dir, &crate_dir.join("src"), &mut lib);
-            collect_sources(&dir, &crate_dir.join("tests"), &mut refs);
-        }
-    }
-    lib.sort();
-    refs.sort();
+    let (lib, refs) = scan_workspace(&dir).expect("fixture scans");
     analyze_workspace(&lib, &refs, crates, &Config::default())
 }
 

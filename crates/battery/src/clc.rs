@@ -128,11 +128,6 @@ impl ClcBattery {
     pub fn sodium_ion(capacity_mwh: f64, depth_of_discharge: f64) -> Self {
         Self::new(ClcParams::sodium_ion(capacity_mwh, depth_of_discharge))
     }
-
-    /// The parameter set.
-    pub fn params(&self) -> &ClcParams {
-        &self.params
-    }
 }
 
 impl BatteryModel for ClcBattery {

@@ -49,11 +49,6 @@ impl DegradationState {
         (1.0 - wear * (1.0 - END_OF_LIFE_FRACTION)).max(0.5)
     }
 
-    /// `true` once the battery has faded to its end-of-life capacity.
-    pub fn is_end_of_life(&self) -> bool {
-        self.cycles_done >= self.rated_cycles()
-    }
-
     /// Records additional equivalent full cycles.
     ///
     /// # Panics
@@ -113,7 +108,6 @@ mod tests {
     fn fresh_battery_is_full_capacity() {
         let state = DegradationState::fresh(1.0);
         assert_eq!(state.capacity_fraction(), 1.0);
-        assert!(!state.is_end_of_life());
     }
 
     #[test]
@@ -121,7 +115,6 @@ mod tests {
         let mut state = DegradationState::fresh(1.0);
         state.record_cycles(3000.0);
         assert!((state.capacity_fraction() - 0.8).abs() < 1e-12);
-        assert!(state.is_end_of_life());
         // Halfway there: 90%.
         let mut half = DegradationState::fresh(1.0);
         half.record_cycles(1500.0);

@@ -60,7 +60,8 @@ pub fn lifetime_years(dod: f64, cycles_per_year: f64) -> f64 {
 
 /// [`lifetime_years`] clamped to a calendar-aging cap (the paper: "other
 /// degradation factors would come in to play before reaching the 27-year
-/// lifespan"). The default cap used by Carbon Explorer is 15 years.
+/// lifespan"). Carbon Explorer's default cap is the
+/// `calendar_life_cap_years` of `ce_embodied::BatteryEmbodied::paper_defaults`.
 pub fn lifetime_years_capped(dod: f64, cycles_per_year: f64, cap_years: f64) -> f64 {
     lifetime_years(dod, cycles_per_year).min(cap_years)
 }

@@ -432,8 +432,8 @@ mod tests {
         let mut battery = IdealBattery::new(0.0);
         let stats = simulate_dispatch_stats(&mut battery, &demand, &supply, &weight).unwrap();
         // The dispatch fold accumulates hour by hour, so compare against a
-        // sequential in-order sum of the clamped deficit (deficit_sum's
-        // lane-chunked reduction order intentionally differs).
+        // sequential in-order sum of the clamped deficit (the deficit
+        // kernels' lane-chunked reduction order intentionally differs).
         let sequential: f64 = demand
             .zip_with(&supply, |d, s| (d - s).max(0.0))
             .unwrap()
@@ -451,8 +451,8 @@ mod tests {
         let supply = HourlySeries::from_fn(start(), 100, |h| (h % 5) as f64);
         let mut battery = ClcBattery::lfp(10.0, 0.8);
         let r = simulate_dispatch(&mut battery, &demand, &supply).unwrap();
-        for (_, s) in r.soc.iter() {
-            assert!((2.0 - 1e-9..=10.0 + 1e-9).contains(&s));
+        for s in r.soc.values() {
+            assert!((2.0 - 1e-9..=10.0 + 1e-9).contains(s));
         }
     }
 }

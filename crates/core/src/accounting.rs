@@ -75,11 +75,6 @@ impl MatchingReport {
             1.0
         }
     }
-
-    /// `true` if every period fully covered its consumption.
-    pub fn is_fully_matched(&self) -> bool {
-        self.consumed_mwh - self.matched_mwh <= 1e-6
-    }
 }
 
 /// Matches renewable `generation` credits against `demand` within periods
@@ -206,7 +201,6 @@ mod tests {
         assert_eq!(report.matched_mwh, 10.0);
         assert_eq!(report.matched_fraction(), 0.5);
         assert!((report.residual_emissions_tons - 5.0).abs() < 1e-12);
-        assert!(!report.is_fully_matched());
     }
 
     #[test]
@@ -220,7 +214,6 @@ mod tests {
             MatchingGranularity::Annual,
         )
         .unwrap();
-        assert!(report.is_fully_matched());
         assert_eq!(report.matched_fraction(), 1.0);
         assert_eq!(report.residual_emissions_tons, 0.0);
     }
@@ -294,7 +287,7 @@ mod tests {
         )
         .unwrap();
         assert!(daily.matched_fraction() > hourly.matched_fraction());
-        assert!(daily.is_fully_matched()); // 240 generated = 240 consumed
+        assert_eq!(daily.matched_mwh, daily.consumed_mwh); // 240 generated = 240 consumed
     }
 
     #[test]
@@ -311,7 +304,6 @@ mod tests {
     fn empty_series_is_fully_matched() {
         let empty = HourlySeries::zeros(start(), 0);
         let report = match_credits(&empty, &empty, &empty, MatchingGranularity::Annual).unwrap();
-        assert!(report.is_fully_matched());
         assert_eq!(report.matched_fraction(), 1.0);
     }
 

@@ -27,11 +27,6 @@ impl DesignPoint {
             extra_capacity_fraction: 0.0,
         }
     }
-
-    /// Total renewable investment, MW.
-    pub fn total_renewables_mw(&self) -> f64 {
-        self.solar_mw + self.wind_mw
-    }
 }
 
 impl fmt::Display for DesignPoint {
@@ -138,18 +133,6 @@ pub struct DesignSpace {
 }
 
 impl DesignSpace {
-    /// A space suited to a datacenter with average power `avg_mw`:
-    /// renewables up to `30 × avg_mw` of each type, batteries up to 24
-    /// hours of compute, extra capacity up to +100%.
-    pub fn for_datacenter(avg_mw: f64) -> Self {
-        Self {
-            solar: (0.0, 30.0 * avg_mw, 7),
-            wind: (0.0, 30.0 * avg_mw, 7),
-            battery: (0.0, 24.0 * avg_mw, 7),
-            extra_capacity: (0.0, 1.0, 5),
-        }
-    }
-
     /// Restricts the space to the axes a strategy actually uses: the
     /// battery axis collapses to zero for strategies without storage, the
     /// capacity axis for strategies without CAS. This keeps exhaustive
@@ -240,7 +223,7 @@ mod tests {
     #[test]
     fn design_point_helpers() {
         let d = DesignPoint::renewables(100.0, 50.0);
-        assert_eq!(d.total_renewables_mw(), 150.0);
+        assert_eq!((d.solar_mw, d.wind_mw), (100.0, 50.0));
         assert_eq!(d.battery_mwh, 0.0);
         assert!(d.to_string().contains("solar 100 MW"));
     }
@@ -270,9 +253,19 @@ mod tests {
         assert_eq!(solars, vec![10.0, 30.0, 50.0, 70.0, 90.0]);
     }
 
+    /// A space with every axis non-trivial.
+    fn full_space() -> DesignSpace {
+        DesignSpace {
+            solar: (0.0, 600.0, 7),
+            wind: (0.0, 600.0, 7),
+            battery: (0.0, 480.0, 7),
+            extra_capacity: (0.0, 1.0, 5),
+        }
+    }
+
     #[test]
     fn restriction_collapses_inert_axes() {
-        let space = DesignSpace::for_datacenter(20.0);
+        let space = full_space();
         let ren = space.restricted_to(StrategyKind::RenewablesOnly);
         assert_eq!(ren.battery, (0.0, 0.0, 1));
         assert_eq!(ren.extra_capacity, (0.0, 0.0, 1));
@@ -285,7 +278,7 @@ mod tests {
 
     #[test]
     fn zero_step_axis_empties_the_space() {
-        let mut space = DesignSpace::for_datacenter(20.0);
+        let mut space = full_space();
         space.wind = (0.0, 10.0, 0);
         assert!(space.is_empty());
         assert_eq!(space.iter().count(), 0);

@@ -46,7 +46,7 @@ impl EnsembleSpec {
     /// `|seed| CarbonExplorer::new(site.demand_trace(year, seed),
     /// GridDataset::synthesize(ba, year, seed))`). Members evaluate in
     /// parallel via [`ce_parallel::par_map_with`]; the result vector is in
-    /// seed order and bitwise identical to [`EnsembleSpec::evaluate_serial`].
+    /// seed order and bitwise identical to a serial per-seed loop.
     #[must_use]
     pub fn evaluate<F>(
         &self,
@@ -61,29 +61,6 @@ impl EnsembleSpec {
             ce_parallel::par_map_with(&self.seeds, EvalScratch::default, |scratch, &seed| {
                 build(seed).evaluate_with(strategy, design, scratch)
             });
-        self.result(strategy, design, evaluations)
-    }
-
-    /// The serial reference loop: same contract as
-    /// [`EnsembleSpec::evaluate`], never spawning. Exists so the
-    /// bitwise-equality pin (`tests/ensemble_determinism.rs`) has an
-    /// independent implementation to compare against.
-    #[must_use]
-    pub fn evaluate_serial<F>(
-        &self,
-        strategy: StrategyKind,
-        design: &DesignPoint,
-        build: F,
-    ) -> EnsembleResult
-    where
-        F: Fn(u64) -> CarbonExplorer,
-    {
-        let mut scratch = EvalScratch::default();
-        let evaluations = self
-            .seeds
-            .iter()
-            .map(|&seed| build(seed).evaluate_with(strategy, design, &mut scratch))
-            .collect();
         self.result(strategy, design, evaluations)
     }
 
@@ -138,11 +115,6 @@ impl Spread {
         spread.mean = sum / count;
         Some(spread)
     }
-
-    /// `max - min`: how far apart the best and worst weather years land.
-    pub fn width(&self) -> f64 {
-        self.max - self.min
-    }
 }
 
 /// The outcome of evaluating one design across an ensemble of seeded
@@ -176,14 +148,6 @@ impl EnsembleResult {
     /// Spread of total (operational + embodied) carbon, tons/year.
     pub fn total_tons_spread(&self) -> Option<Spread> {
         self.spread_of(|e| e.total_tons())
-    }
-
-    /// Per-member coverage fractions, in seed order.
-    pub fn coverages(&self) -> Vec<f64> {
-        self.evaluations
-            .iter()
-            .map(|e| e.coverage.fraction())
-            .collect()
     }
 }
 
@@ -239,10 +203,14 @@ mod tests {
     fn different_seeds_give_different_weather_years() {
         let spec = EnsembleSpec::consecutive(2020, 7, 4);
         let result = spec.evaluate(StrategyKind::RenewablesOnly, &design(), build_ut(2020));
-        let coverages = result.coverages();
+        let coverages: Vec<f64> = result
+            .evaluations
+            .iter()
+            .map(|e| e.coverage.fraction())
+            .collect();
         let spread = result.coverage_spread().expect("non-empty ensemble");
         assert!(
-            spread.width() > 0.0,
+            spread.max > spread.min,
             "independent weather years should not produce identical coverage: {coverages:?}"
         );
         assert!(spread.min <= spread.mean && spread.mean <= spread.max);
@@ -257,7 +225,6 @@ mod tests {
         assert_eq!(s.min, 0.25);
         assert_eq!(s.max, 1.0);
         assert_eq!(s.mean, (0.5 + 0.25 + 1.0) / 3.0);
-        assert_eq!(s.width(), 0.75);
         assert_eq!(Spread::over([]), None);
     }
 

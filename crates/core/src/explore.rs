@@ -182,12 +182,6 @@ impl CarbonExplorer {
         self
     }
 
-    /// Replaces the workload mix (flexibility).
-    pub fn with_workload(mut self, workload: WorkloadMix) -> Self {
-        self.workload = workload;
-        self
-    }
-
     /// Sets the battery depth-of-discharge policy.
     ///
     /// # Panics
@@ -313,8 +307,7 @@ impl CarbonExplorer {
             StrategyKind::RenewablesOnly => {
                 // Alignment is a constructor invariant (and the supply is
                 // written into a demand-shaped buffer), so this goes
-                // straight to the infallible slice kernel — the exact code
-                // the checked `deficit_stats_dot` wrapper runs.
+                // straight to the infallible slice kernel.
                 let (stats, operational) = kernels::deficit_stats_dot_slices(
                     self.demand.values(),
                     supply.values(),
@@ -554,8 +547,8 @@ impl CarbonExplorer {
     /// groups `l, l + T, …` and keeps its first minimum with its
     /// (group, sub-point) index pair. Before scoring a point the lane
     /// computes a lower bound on its total carbon, its embodied carbon at
-    /// zero battery cycles (see [`CarbonExplorer::embodied_terms`] for why
-    /// it is sound), and skips the point when the bound is already `>=`
+    /// zero battery cycles (the private `embodied_terms` helper documents
+    /// why it is sound), and skips the point when the bound is already `>=`
     /// the lane incumbent's total: the incumbent comes earlier in sweep
     /// order, so it would win even a tie. A group's supply is built only
     /// when one of its points survives. Lanes combine by lower total,
@@ -846,23 +839,6 @@ mod tests {
         assert!(large.coverage.fraction() > small.coverage.fraction());
         assert!(large.embodied_renewables_tons > small.embodied_renewables_tons);
         assert!(large.operational_tons < small.operational_tons);
-    }
-
-    #[test]
-    fn workload_mix_changes_scheduled_coverage() {
-        let design = DesignPoint {
-            solar_mw: 300.0,
-            wind_mw: 150.0,
-            battery_mwh: 0.0,
-            extra_capacity_fraction: 0.3,
-        };
-        let rigid = utah_explorer()
-            .with_workload(WorkloadMix::inflexible())
-            .evaluate(StrategyKind::RenewablesCas, &design);
-        let flexible = utah_explorer()
-            .with_workload(WorkloadMix::fully_flexible())
-            .evaluate(StrategyKind::RenewablesCas, &design);
-        assert!(flexible.coverage.fraction() >= rigid.coverage.fraction());
     }
 
     #[test]

@@ -61,5 +61,5 @@ pub use ensemble::{EnsembleResult, EnsembleSpec, Spread};
 pub use explore::{CarbonExplorer, EvalScratch, EvaluatedDesign};
 pub use pareto::ParetoFrontier;
 pub use scenario::Scenario;
-pub use seasonal::{monthly_coverage, worst_month, MonthlyCoverage};
+pub use seasonal::{monthly_coverage, MonthlyCoverage};
 pub use sensitivity::{tornado, Parameter, SensitivityRow};

@@ -266,10 +266,11 @@ mod tests {
         assert_eq!(manifest.kind, "ensemble");
         assert_eq!(manifest.seeds, vec![7, 8, 9]);
         assert_eq!(manifest.validate(), Ok(()));
-        let again = spec.evaluate_serial(StrategyKind::RenewablesOnly, &design, build);
-        assert_eq!(
-            verify(&manifest, |_| recomputed(key, &again.evaluations)),
-            Ok(())
-        );
+        let again: Vec<EvaluatedDesign> = spec
+            .seeds
+            .iter()
+            .map(|&seed| build(seed).evaluate(StrategyKind::RenewablesOnly, &design))
+            .collect();
+        assert_eq!(verify(&manifest, |_| recomputed(key, &again)), Ok(()));
     }
 }

@@ -1,7 +1,6 @@
 //! Plain-text rendering of exploration results, used by the reproduction
 //! harness to print the paper's tables and figure data.
 
-use crate::explore::EvaluatedDesign;
 use std::fmt::Write as _;
 
 /// Renders a fixed-width table. `headers` and every row must have the same
@@ -37,37 +36,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         write_row(&mut out, row);
     }
     out
-}
-
-/// Renders an evaluation as a table row:
-/// `[strategy, solar, wind, battery, +servers, coverage, op, embodied, total]`.
-pub fn evaluation_row(eval: &EvaluatedDesign) -> Vec<String> {
-    vec![
-        eval.strategy.label().to_string(),
-        format!("{:.0}", eval.design.solar_mw),
-        format!("{:.0}", eval.design.wind_mw),
-        format!("{:.0}", eval.design.battery_mwh),
-        format!("{:.0}%", eval.design.extra_capacity_fraction * 100.0),
-        format!("{:.1}%", eval.coverage.percent()),
-        format!("{:.0}", eval.operational_tons),
-        format!("{:.0}", eval.embodied_tons()),
-        format!("{:.0}", eval.total_tons()),
-    ]
-}
-
-/// The header matching [`evaluation_row`].
-pub fn evaluation_headers() -> [&'static str; 9] {
-    [
-        "strategy",
-        "solar MW",
-        "wind MW",
-        "batt MWh",
-        "+serv",
-        "coverage",
-        "op tCO2",
-        "emb tCO2",
-        "total tCO2",
-    ]
 }
 
 /// Renders a compact ASCII sparkline of a value series (8 levels).
@@ -123,26 +91,5 @@ mod tests {
         assert_eq!(sparkline(&[]), "");
         // Constant input doesn't panic.
         assert_eq!(sparkline(&[5.0, 5.0]).chars().count(), 2);
-    }
-
-    #[test]
-    fn evaluation_row_matches_header_arity() {
-        use crate::coverage::Coverage;
-        use crate::design::{DesignPoint, StrategyKind};
-        use ce_timeseries::{HourlySeries, Timestamp};
-        let start = Timestamp::start_of_year(2020);
-        let demand = HourlySeries::constant(start, 2, 1.0);
-        let unmet = HourlySeries::zeros(start, 2);
-        let eval = EvaluatedDesign {
-            strategy: StrategyKind::RenewablesOnly,
-            design: DesignPoint::renewables(1.0, 2.0),
-            coverage: Coverage::from_unmet(&demand, &unmet).unwrap(),
-            operational_tons: 0.0,
-            embodied_renewables_tons: 0.0,
-            embodied_battery_tons: 0.0,
-            embodied_servers_tons: 0.0,
-            battery_cycles: 0.0,
-        };
-        assert_eq!(evaluation_row(&eval).len(), evaluation_headers().len());
     }
 }

@@ -51,19 +51,13 @@ impl Scenario {
     /// This is the wire name used by serialization layers (`ce-serve`'s
     /// JSON schema and any cache keyed on scenarios): unlike [`Scenario::label`]
     /// it is guaranteed never to change spelling, so hashes derived from it
-    /// stay valid across releases. Round-trips through
-    /// [`Scenario::from_canonical_key`].
+    /// stay valid across releases.
     pub fn canonical_key(&self) -> &'static str {
         match self {
             Scenario::GridMix => "grid_mix",
             Scenario::NetZero => "net_zero",
             Scenario::CarbonFree247 => "carbon_free_247",
         }
-    }
-
-    /// Parses a [`Scenario::canonical_key`] back into a scenario.
-    pub fn from_canonical_key(key: &str) -> Option<Scenario> {
-        Scenario::ALL.into_iter().find(|s| s.canonical_key() == key)
     }
 }
 
@@ -122,15 +116,6 @@ pub fn hourly_intensity(
     }
 }
 
-/// Whether a year of renewable generation earns enough credits to claim
-/// Net Zero: total generation ≥ total consumption (paper §3.2, "at the end
-/// of the month (or end of the year), the total amount of energy generated
-/// and credits issued is equal or greater than the total amount of energy
-/// consumed").
-pub fn achieves_net_zero(demand: &HourlySeries, renewable_supply: &HourlySeries) -> bool {
-    renewable_supply.sum() >= demand.sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +159,7 @@ mod tests {
         assert!(intensity[1] > 0.0);
         assert_eq!(intensity[1], g.carbon_intensity()[1]);
         // Annual accounting nevertheless reads Net Zero.
-        assert!(achieves_net_zero(&demand, &supply));
+        assert!(supply.sum() >= demand.sum());
     }
 
     #[test]
@@ -231,24 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn net_zero_claim_requires_enough_generation() {
-        let demand = flat_demand(20.0);
-        assert!(!achieves_net_zero(&demand, &flat_demand(19.0)));
-        assert!(achieves_net_zero(&demand, &flat_demand(20.0)));
-    }
-
-    #[test]
     fn labels() {
         assert_eq!(Scenario::NetZero.to_string(), "Net Zero");
         assert_eq!(Scenario::ALL.len(), 3);
-    }
-
-    #[test]
-    fn canonical_keys_round_trip() {
-        for s in Scenario::ALL {
-            assert_eq!(Scenario::from_canonical_key(s.canonical_key()), Some(s));
-        }
-        assert_eq!(Scenario::from_canonical_key("Grid Mix"), None);
-        assert_eq!(Scenario::from_canonical_key(""), None);
     }
 }

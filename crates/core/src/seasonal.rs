@@ -66,25 +66,6 @@ pub fn monthly_coverage(
     }))
 }
 
-/// The month with the lowest coverage — the design's binding season.
-///
-/// # Errors
-///
-/// Propagates alignment errors; returns `None` inside `Ok` only for empty
-/// input.
-pub fn worst_month(
-    demand: &HourlySeries,
-    supply: &HourlySeries,
-) -> Result<Option<MonthlyCoverage>, TimeSeriesError> {
-    Ok(monthly_coverage(demand, supply)?
-        .into_iter()
-        .min_by(|a, b| {
-            a.coverage
-                .partial_cmp(&b.coverage)
-                .expect("finite coverage")
-        }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,23 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn worst_month_finds_the_valley() {
-        let len = 24 * 91; // Jan + Feb + Mar 2020
-        let demand = HourlySeries::constant(start(), len, 10.0);
-        let supply = HourlySeries::from_fn(start(), len, |h| {
-            let day = h / 24;
-            if (31..60).contains(&day) {
-                3.0 // February is the bad month
-            } else {
-                12.0
-            }
-        });
-        let worst = worst_month(&demand, &supply).unwrap().expect("non-empty");
-        assert_eq!(worst.month, 2);
-        assert!(worst.coverage < 0.5);
-    }
-
-    #[test]
     fn partial_months_are_reported() {
         let demand = HourlySeries::constant(start(), 10, 5.0);
         let supply = HourlySeries::constant(start(), 10, 5.0);
@@ -140,7 +104,6 @@ mod tests {
     fn empty_series_yield_empty_report() {
         let empty = HourlySeries::zeros(start(), 0);
         assert!(monthly_coverage(&empty, &empty).unwrap().is_empty());
-        assert!(worst_month(&empty, &empty).unwrap().is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The ensemble evaluator's determinism contract: N seeded weather years
 //! evaluated through `ce_parallel::par_map_with` must be **bitwise**
-//! identical to the serial reference loop, for every thread-count regime
+//! identical to a serial per-seed loop, for every thread-count regime
 //! `CE_THREADS` can select.
 
 use ce_core::{CarbonExplorer, DesignPoint, EnsembleResult, EnsembleSpec, StrategyKind};
@@ -21,6 +21,22 @@ fn design() -> DesignPoint {
         wind_mw: 100.0,
         battery_mwh: 40.0,
         extra_capacity_fraction: 0.2,
+    }
+}
+
+/// The serial reference: one fresh evaluation per seed, in seed order,
+/// never spawning.
+fn evaluate_serial(spec: &EnsembleSpec, strategy: StrategyKind) -> EnsembleResult {
+    EnsembleResult {
+        year: spec.year,
+        seeds: spec.seeds.clone(),
+        strategy,
+        design: design(),
+        evaluations: spec
+            .seeds
+            .iter()
+            .map(|&seed| build_ut(seed).evaluate(strategy, &design()))
+            .collect(),
     }
 }
 
@@ -59,7 +75,7 @@ fn ensemble_is_bitwise_deterministic_across_thread_counts() {
         StrategyKind::RenewablesOnly,
         StrategyKind::RenewablesBatteryCas,
     ] {
-        let serial = spec.evaluate_serial(strategy, &design(), build_ut);
+        let serial = evaluate_serial(&spec, strategy);
 
         // Ambient parallelism (whatever the machine offers).
         let parallel = spec.evaluate(strategy, &design(), build_ut);

@@ -11,11 +11,6 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds a fleet from explicit sites.
-    pub fn new(sites: Vec<DataCenterSite>) -> Self {
-        Self { sites }
-    }
-
     /// The paper's Table 1: Meta's 13 US datacenter locations and regional
     /// renewable investments (MW).
     ///
@@ -71,11 +66,6 @@ impl Fleet {
     /// Total wind investment across the fleet, MW.
     pub fn total_wind_mw(&self) -> f64 {
         self.sites.iter().map(|s| s.wind_mw()).sum()
-    }
-
-    /// Iterate over the sites.
-    pub fn iter(&self) -> std::slice::Iter<'_, DataCenterSite> {
-        self.sites.iter()
     }
 }
 
@@ -154,7 +144,6 @@ mod tests {
     #[test]
     fn iteration_visits_every_site() {
         let fleet = Fleet::meta_us();
-        assert_eq!(fleet.iter().count(), 13);
         assert_eq!((&fleet).into_iter().count(), 13);
     }
 }

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod fleet;
-pub mod jobs;
 pub mod power;
 pub mod site;
 pub mod trace;
@@ -40,7 +39,6 @@ pub mod utilization;
 pub mod workload;
 
 pub use fleet::Fleet;
-pub use jobs::{Job, JobTraceGenerator};
 pub use power::PowerModel;
 pub use site::DataCenterSite;
 pub use trace::TraceGenerator;

@@ -27,44 +27,17 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// A facility-level model calibrated to the paper's ~4% power swing.
-    pub fn facility(peak_power_mw: f64) -> Self {
-        Self {
-            peak_power_mw,
-            idle_fraction: FACILITY_IDLE_FRACTION,
-        }
-    }
-
-    /// A single-server-style model (much lower idle fraction), used when
-    /// studying energy-proportional hardware rather than whole facilities.
-    pub fn server_level(peak_power_mw: f64) -> Self {
-        Self {
-            peak_power_mw,
-            idle_fraction: 0.40,
-        }
-    }
-
     /// Instantaneous power (MW) at CPU utilization `util` in `[0, 1]`.
     ///
     /// ```
-    /// use ce_datacenter::PowerModel;
-    /// let m = PowerModel::facility(100.0);
+    /// use ce_datacenter::power::{PowerModel, FACILITY_IDLE_FRACTION};
+    /// let m = PowerModel { peak_power_mw: 100.0, idle_fraction: FACILITY_IDLE_FRACTION };
     /// assert!(m.power_at(1.0) > m.power_at(0.0));
     /// assert_eq!(m.power_at(1.0), 100.0);
     /// ```
     pub fn power_at(&self, util: f64) -> f64 {
         let util = util.clamp(0.0, 1.0);
         self.peak_power_mw * (self.idle_fraction + (1.0 - self.idle_fraction) * util)
-    }
-
-    /// Inverse of [`PowerModel::power_at`]: the utilization that draws
-    /// `power_mw`, clamped to `[0, 1]`.
-    pub fn utilization_at(&self, power_mw: f64) -> f64 {
-        if self.idle_fraction >= 1.0 {
-            return 0.0;
-        }
-        ((power_mw / self.peak_power_mw - self.idle_fraction) / (1.0 - self.idle_fraction))
-            .clamp(0.0, 1.0)
     }
 
     /// Maps an hourly utilization series to an hourly power series.
@@ -104,9 +77,16 @@ mod tests {
     use ce_timeseries::stats::pearson;
     use ce_timeseries::Timestamp;
 
+    fn facility(peak_power_mw: f64) -> PowerModel {
+        PowerModel {
+            peak_power_mw,
+            idle_fraction: FACILITY_IDLE_FRACTION,
+        }
+    }
+
     #[test]
     fn linearity_endpoints() {
-        let m = PowerModel::facility(50.0);
+        let m = facility(50.0);
         assert_eq!(m.power_at(0.0), 50.0 * FACILITY_IDLE_FRACTION);
         assert_eq!(m.power_at(1.0), 50.0);
         assert_eq!(m.power_at(2.0), 50.0); // clamped
@@ -118,19 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn inverse_roundtrips() {
-        let m = PowerModel::facility(80.0);
-        for u in [0.0, 0.3, 0.6, 1.0] {
-            let p = m.power_at(u);
-            assert!((m.utilization_at(p) - u).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn utilization_and_power_are_perfectly_correlated() {
         // Fig 3 (right): at DC scale power tracks CPU utilization linearly.
         let util = UtilizationModel::meta().generate(2020, 1);
-        let m = PowerModel::facility(100.0);
+        let m = facility(100.0);
         let power = m.power_series(&util);
         let corr = pearson(util.values(), power.values()).unwrap();
         assert!(corr > 0.999, "correlation {corr}");
@@ -140,7 +111,7 @@ mod tests {
     fn facility_swing_is_about_four_percent() {
         // The headline demand-side fact from §3.1.
         let util = UtilizationModel::meta().generate(2020, 1);
-        let m = PowerModel::facility(100.0);
+        let m = facility(100.0);
         let power = m.power_series(&util);
         let swing = (power.max().unwrap() - power.min().unwrap()) / power.mean();
         assert!(
@@ -158,21 +129,11 @@ mod tests {
     }
 
     #[test]
-    fn server_level_model_is_more_proportional() {
-        let facility = PowerModel::facility(1.0);
-        let server = PowerModel::server_level(1.0);
-        let f_ratio = facility.power_at(0.0) / facility.power_at(1.0);
-        let s_ratio = server.power_at(0.0) / server.power_at(1.0);
-        assert!(s_ratio < f_ratio);
-    }
-
-    #[test]
     fn degenerate_idle_fraction_one() {
         let m = PowerModel {
             peak_power_mw: 10.0,
             idle_fraction: 1.0,
         };
-        assert_eq!(m.utilization_at(10.0), 0.0);
         let flat = m.power_series(&HourlySeries::from_values(
             Timestamp::start_of_year(2020),
             vec![0.0, 0.5, 1.0],

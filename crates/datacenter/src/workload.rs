@@ -73,8 +73,6 @@ pub struct WorkloadMix {
     /// delay-tolerant work at all (paper: ~7.5% at Meta is offline data
     /// processing; Borg: ~40% of jobs have 24-hour SLOs).
     flexible_fraction: f64,
-    /// Distribution over SLO tiers *within* the flexible fraction.
-    tier_fractions: [f64; 5],
 }
 
 impl WorkloadMix {
@@ -84,61 +82,18 @@ impl WorkloadMix {
         Self::with_flexible_fraction(0.40)
     }
 
-    /// Meta's data-processing tier mix (Figure 10) over a given flexible
-    /// fraction of the fleet.
+    /// A mix with the given flexible fraction of the fleet.
     pub fn with_flexible_fraction(flexible_fraction: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&flexible_fraction),
             "flexible fraction must be in [0, 1]"
         );
-        Self {
-            flexible_fraction,
-            tier_fractions: [0.088, 0.038, 0.105, 0.712, 0.057],
-        }
-    }
-
-    /// A fully inflexible workload (no carbon-aware scheduling possible).
-    pub fn inflexible() -> Self {
-        Self::with_flexible_fraction(0.0)
-    }
-
-    /// A fully flexible workload (the paper's Figure 12 assumption).
-    pub fn fully_flexible() -> Self {
-        Self::with_flexible_fraction(1.0)
+        Self { flexible_fraction }
     }
 
     /// Fraction of total compute that can shift at all.
     pub fn flexible_fraction(&self) -> f64 {
         self.flexible_fraction
-    }
-
-    /// Fraction of total compute in `tier`.
-    pub fn fraction_of_total(&self, tier: SloTier) -> f64 {
-        // `ALL` lists the variants in declaration order, so the
-        // discriminant *is* the index — no fallible lookup needed.
-        let idx = tier as usize;
-        self.flexible_fraction * self.tier_fractions[idx]
-    }
-
-    /// Fraction of total compute that may shift by at least `hours`.
-    ///
-    /// ```
-    /// use ce_datacenter::WorkloadMix;
-    /// let mix = ce_datacenter::WorkloadMix::borg_default();
-    /// // Everything flexible can shift by >= 1 hour.
-    /// assert!(mix.shiftable_by(1) <= 0.40 + 1e-12);
-    /// // Less can shift by a full day.
-    /// assert!(mix.shiftable_by(24) < mix.shiftable_by(1));
-    /// ```
-    pub fn shiftable_by(&self, hours: u32) -> f64 {
-        SloTier::ALL
-            .iter()
-            .filter(|t| match t.shift_window_hours() {
-                None => true,
-                Some(w) => w >= hours,
-            })
-            .map(|t| self.fraction_of_total(*t))
-            .sum()
     }
 }
 
@@ -189,23 +144,6 @@ mod tests {
     fn mix_fraction_accounting() {
         let mix = WorkloadMix::borg_default();
         assert_eq!(mix.flexible_fraction(), 0.40);
-        let t4 = mix.fraction_of_total(SloTier::Tier4);
-        assert!((t4 - 0.4 * 0.712).abs() < 1e-12);
-        assert_eq!(WorkloadMix::inflexible().shiftable_by(1), 0.0);
-        assert!((WorkloadMix::fully_flexible().shiftable_by(1) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shiftable_by_is_monotone_decreasing() {
-        let mix = WorkloadMix::borg_default();
-        let mut prev = f64::INFINITY;
-        for hours in [1, 2, 4, 24, 48] {
-            let s = mix.shiftable_by(hours);
-            assert!(s <= prev + 1e-12);
-            prev = s;
-        }
-        // Only Tier 5 (no SLO) can shift beyond a day.
-        assert!((mix.shiftable_by(48) - 0.4 * 0.057).abs() < 1e-12);
     }
 
     #[test]

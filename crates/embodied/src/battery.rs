@@ -37,22 +37,6 @@ impl BatteryEmbodied {
         }
     }
 
-    /// Best case: assembly powered entirely by renewables (74 kg/kWh).
-    pub fn green_assembly() -> Self {
-        Self {
-            assembly_kg_per_kwh: 0.0,
-            ..Self::paper_defaults()
-        }
-    }
-
-    /// Worst case: fully carbon-intensive assembly (134 kg/kWh).
-    pub fn brown_assembly() -> Self {
-        Self {
-            assembly_kg_per_kwh: 60.0,
-            ..Self::paper_defaults()
-        }
-    }
-
     /// Total manufacturing footprint, kgCO2 per kWh of capacity.
     pub fn total_kg_per_kwh(&self) -> f64 {
         self.materials_kg_per_kwh + self.assembly_kg_per_kwh + self.end_of_life_kg_per_kwh
@@ -98,10 +82,19 @@ impl Default for BatteryEmbodied {
 mod tests {
     use super::*;
 
+    /// The paper defaults with assembly at `kg` per kWh: 0 when powered
+    /// entirely by renewables, 60 when fully carbon-intensive.
+    fn with_assembly(kg: f64) -> BatteryEmbodied {
+        BatteryEmbodied {
+            assembly_kg_per_kwh: kg,
+            ..BatteryEmbodied::paper_defaults()
+        }
+    }
+
     #[test]
     fn total_is_within_published_range() {
-        assert_eq!(BatteryEmbodied::green_assembly().total_kg_per_kwh(), 74.0);
-        assert_eq!(BatteryEmbodied::brown_assembly().total_kg_per_kwh(), 134.0);
+        assert_eq!(with_assembly(0.0).total_kg_per_kwh(), 74.0);
+        assert_eq!(with_assembly(60.0).total_kg_per_kwh(), 134.0);
         let default = BatteryEmbodied::paper_defaults().total_kg_per_kwh();
         assert!((74.0..=134.0).contains(&default));
     }
@@ -111,8 +104,8 @@ mod tests {
         // Paper: materials are 44-80% of total.
         for params in [
             BatteryEmbodied::paper_defaults(),
-            BatteryEmbodied::green_assembly(),
-            BatteryEmbodied::brown_assembly(),
+            with_assembly(0.0),
+            with_assembly(60.0),
         ] {
             let share = params.materials_kg_per_kwh / params.total_kg_per_kwh();
             assert!((0.44..=0.80).contains(&share), "materials share {share}");

@@ -41,19 +41,6 @@ pub fn carbon_intensity_series(
     }))
 }
 
-/// Total operational carbon (tons CO2eq) of consuming `consumption` (MW,
-/// hourly) from a grid whose intensity is `intensity` (t/MWh, hourly).
-///
-/// # Errors
-///
-/// Returns an alignment error if the series are misaligned.
-pub fn operational_carbon(
-    consumption: &HourlySeries,
-    intensity: &HourlySeries,
-) -> Result<f64, TimeSeriesError> {
-    Ok(consumption.zip_with(intensity, |c, i| c * i)?.sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,22 +90,6 @@ mod tests {
             HourlySeries::from_values(start(), vec![0.0]),
         )];
         assert_eq!(carbon_intensity_series(&fuels).unwrap()[0], 0.0);
-    }
-
-    #[test]
-    fn operational_carbon_integrates() {
-        let consumption = HourlySeries::from_values(start(), vec![10.0, 20.0]);
-        let intensity = HourlySeries::from_values(start(), vec![0.5, 0.1]);
-        // 10*0.5 + 20*0.1 = 7 tons.
-        let tons = operational_carbon(&consumption, &intensity).unwrap();
-        assert!((tons - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn operational_carbon_rejects_misalignment() {
-        let a = HourlySeries::zeros(start(), 2);
-        let b = HourlySeries::zeros(start(), 3);
-        assert!(operational_carbon(&a, &b).is_err());
     }
 
     #[test]

@@ -1,38 +1,7 @@
-//! Renewable curtailment: computing curtailed energy from supply/demand
-//! series, and the historical California trend behind the paper's Figure 4.
+//! Renewable curtailment: the historical California trend behind the
+//! paper's Figure 4.
 
-use ce_timeseries::{HourlySeries, TimeSeriesError};
 use serde::{Deserialize, Serialize};
-
-/// Hourly energy (MWh) that would be curtailed: renewable supply in excess
-/// of demand.
-///
-/// # Errors
-///
-/// Returns an alignment error if the series are misaligned.
-pub fn curtailed_energy(
-    supply: &HourlySeries,
-    demand: &HourlySeries,
-) -> Result<HourlySeries, TimeSeriesError> {
-    supply.zip_with(demand, |s, d| (s - d).max(0.0))
-}
-
-/// Fraction of renewable energy curtailed over the whole series (0 if there
-/// is no supply).
-///
-/// # Errors
-///
-/// Returns an alignment error if the series are misaligned.
-pub fn curtailment_fraction(
-    supply: &HourlySeries,
-    demand: &HourlySeries,
-) -> Result<f64, TimeSeriesError> {
-    let total = supply.sum();
-    if total <= 0.0 {
-        return Ok(0.0);
-    }
-    Ok(curtailed_energy(supply, demand)?.sum() / total)
-}
 
 /// One year of the historical California curtailment record (Figure 4):
 /// curtailed energy as a fraction of total renewable generation, split by
@@ -74,62 +43,9 @@ pub fn historical_ca_curtailment() -> Vec<CurtailmentRecord> {
         .collect()
 }
 
-/// Mechanistic counterpart to [`historical_ca_curtailment`]: simulates a
-/// growing renewable buildout on a synthetic CISO-like grid and computes
-/// curtailment directly from hourly supply vs demand, one record per
-/// buildout level. `scales` are multipliers on the grid's installed
-/// wind/solar capacity (e.g. `[0.5, 1.0, 1.5, 2.0]`).
-///
-/// This reproduces Figure 4's *mechanism* — curtailment grows
-/// superlinearly with deployment because midday solar increasingly
-/// overshoots demand — rather than its fitted trend line.
-///
-/// # Errors
-///
-/// Returns an alignment error if the grid's series are misaligned (they
-/// never are when synthesized).
-pub fn simulate_curtailment_growth(
-    grid: &crate::synthesis::GridDataset,
-    scales: &[f64],
-) -> Result<Vec<(f64, f64)>, TimeSeriesError> {
-    // Non-renewable baseload cannot back down below this fraction of
-    // demand, so renewables above the remainder are curtailed.
-    const MUST_RUN_FRACTION: f64 = 0.25;
-    let absorable = grid.demand().scale(1.0 - MUST_RUN_FRACTION);
-    scales
-        .iter()
-        .map(|&scale| {
-            let supply = grid.wind().try_add(grid.solar())?.scale(scale);
-            Ok((scale, curtailment_fraction(&supply, &absorable)?))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ce_timeseries::Timestamp;
-
-    fn start() -> Timestamp {
-        Timestamp::start_of_year(2020)
-    }
-
-    #[test]
-    fn curtailed_energy_clamps_at_zero() {
-        let supply = HourlySeries::from_values(start(), vec![10.0, 5.0, 0.0]);
-        let demand = HourlySeries::from_values(start(), vec![7.0, 8.0, 4.0]);
-        let curtailed = curtailed_energy(&supply, &demand).unwrap();
-        assert_eq!(curtailed.values(), &[3.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn curtailment_fraction_basics() {
-        let supply = HourlySeries::from_values(start(), vec![10.0, 10.0]);
-        let demand = HourlySeries::from_values(start(), vec![5.0, 15.0]);
-        assert!((curtailment_fraction(&supply, &demand).unwrap() - 0.25).abs() < 1e-12);
-        let none = HourlySeries::zeros(start(), 2);
-        assert_eq!(curtailment_fraction(&none, &demand).unwrap(), 0.0);
-    }
 
     #[test]
     fn historical_trend_is_monotonic_and_reaches_six_percent() {
@@ -155,33 +71,5 @@ mod tests {
     fn early_years_are_under_one_percent() {
         let records = historical_ca_curtailment();
         assert!(records[0].total_fraction() < 0.01);
-    }
-
-    #[test]
-    fn simulated_curtailment_grows_superlinearly_with_buildout() {
-        let grid = crate::synthesis::GridDataset::synthesize(
-            crate::balancing_authority::BalancingAuthority::CISO,
-            2020,
-            7,
-        );
-        let points = simulate_curtailment_growth(&grid, &[2.0, 4.0, 8.0, 16.0]).unwrap();
-        assert_eq!(points.len(), 4);
-        // Monotone growth...
-        for pair in points.windows(2) {
-            assert!(pair[1].1 >= pair[0].1 - 1e-12);
-        }
-        // ...and accelerating: each doubling adds more curtailment share
-        // than the previous one (the Figure 4 mechanism).
-        let d1 = points[1].1 - points[0].1;
-        let d2 = points[2].1 - points[1].1;
-        assert!(d2 >= d1, "growth should accelerate: {points:?}");
-        // Deep buildout curtails a large share of renewable generation.
-        assert!(
-            points[3].1 > 0.2,
-            "16x buildout curtails {:.3}",
-            points[3].1
-        );
-        // At today's deployment the grid absorbs essentially everything.
-        assert!(points[0].1 < 0.01);
     }
 }

@@ -64,21 +64,6 @@ impl FuelType {
         self.carbon_intensity_g_per_kwh() / 1000.0
     }
 
-    /// `true` for the variable renewables datacenter operators invest in
-    /// (wind and solar).
-    pub fn is_variable_renewable(&self) -> bool {
-        matches!(self, FuelType::Wind | FuelType::Solar)
-    }
-
-    /// `true` for sources the 24/7 Carbon-Free Energy Compact counts as
-    /// carbon-free (wind, solar, hydro, nuclear).
-    pub fn is_carbon_free(&self) -> bool {
-        matches!(
-            self,
-            FuelType::Wind | FuelType::Solar | FuelType::Water | FuelType::Nuclear
-        )
-    }
-
     /// Short display name matching the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -127,17 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn classification() {
-        assert!(FuelType::Wind.is_variable_renewable());
-        assert!(FuelType::Solar.is_variable_renewable());
-        assert!(!FuelType::Water.is_variable_renewable());
-        assert!(FuelType::Nuclear.is_carbon_free());
-        assert!(FuelType::Water.is_carbon_free());
-        assert!(!FuelType::NaturalGas.is_carbon_free());
-        assert!(!FuelType::Other.is_carbon_free());
-    }
-
-    #[test]
     fn all_covers_every_variant_once() {
         let mut names: Vec<&str> = FuelType::ALL.iter().map(|f| f.name()).collect();
         names.sort_unstable();
@@ -147,8 +121,13 @@ mod tests {
 
     #[test]
     fn carbon_free_sources_are_low_intensity() {
+        // The 24/7 Carbon-Free Energy Compact's carbon-free sources.
         for fuel in FuelType::ALL {
-            if fuel.is_carbon_free() {
+            let carbon_free = matches!(
+                fuel,
+                FuelType::Wind | FuelType::Solar | FuelType::Water | FuelType::Nuclear
+            );
+            if carbon_free {
                 assert!(fuel.carbon_intensity_g_per_kwh() < 50.0);
             } else {
                 assert!(fuel.carbon_intensity_g_per_kwh() >= 230.0);

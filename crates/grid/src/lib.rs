@@ -37,16 +37,13 @@
 pub mod balancing_authority;
 pub mod carbon_intensity;
 pub mod curtailment;
-pub mod eia;
 pub mod fuel;
-pub mod pricing;
 pub mod solar;
 pub mod synthesis;
 pub mod wind;
 
 pub use balancing_authority::{BaProfile, BalancingAuthority};
 pub use carbon_intensity::carbon_intensity_series;
-pub use curtailment::{curtailed_energy, CurtailmentRecord};
+pub use curtailment::CurtailmentRecord;
 pub use fuel::FuelType;
-pub use pricing::PriceModel;
 pub use synthesis::GridDataset;

@@ -176,15 +176,6 @@ impl GridDataset {
         &self.fuels
     }
 
-    /// Total hourly generation across all fuels.
-    pub fn total_generation(&self) -> HourlySeries {
-        let mut total = HourlySeries::zeros(self.demand.start(), self.demand.len());
-        for (_, series) in &self.fuels {
-            total = total.try_add(series).expect("fuel series aligned");
-        }
-        total
-    }
-
     /// Hourly carbon intensity of the grid mix, tons CO2eq per MWh.
     ///
     /// # Panics
@@ -316,14 +307,13 @@ mod tests {
     #[test]
     fn total_generation_serves_demand_net_of_surplus() {
         let g = pace();
-        let total = g.total_generation();
         // Generation ≈ demand except in surplus-renewable hours where it
         // can exceed demand (curtailment handled downstream).
-        for i in (0..total.len()).step_by(97) {
+        for i in (0..g.demand().len()).step_by(97) {
+            let total: f64 = g.fuels().iter().map(|(_, series)| series[i]).sum();
             assert!(
-                total[i] >= g.demand()[i] * 0.9 - 1e-6,
-                "hour {i}: generation {} far below demand {}",
-                total[i],
+                total >= g.demand()[i] * 0.9 - 1e-6,
+                "hour {i}: generation {total} far below demand {}",
                 g.demand()[i]
             );
         }

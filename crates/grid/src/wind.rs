@@ -104,8 +104,7 @@ impl WindModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ce_timeseries::resample::daily_means;
-    use ce_timeseries::stats::coefficient_of_variation;
+    use ce_timeseries::resample::daily_totals;
 
     fn bpat_like() -> WindModel {
         WindModel {
@@ -163,8 +162,9 @@ mod tests {
     #[test]
     fn high_synoptic_amplitude_creates_near_zero_days() {
         let series = bpat_like().generate(2020, 3);
-        let daily = daily_means(&series);
-        let calm_days = daily.iter().filter(|&&d| d < 2.0).count();
+        // A daily mean under 2 MW is a daily total under 48 MWh.
+        let daily = daily_totals(&series);
+        let calm_days = daily.iter().filter(|&&d| d < 48.0).count();
         assert!(
             calm_days >= 5,
             "expected whole near-zero days in a BPAT-like year, found {calm_days}"
@@ -174,10 +174,16 @@ mod tests {
     #[test]
     fn valleys_are_shallower_in_steady_wind_regions() {
         // Compare day-to-day variability of BPAT-like vs SWPP-like regions.
-        let volatile = daily_means(&bpat_like().generate(2020, 4));
-        let steady = daily_means(&swpp_like().generate(2020, 4));
-        let cv_volatile = coefficient_of_variation(&volatile);
-        let cv_steady = coefficient_of_variation(&steady);
+        // Coefficient of variation (population std dev / mean) of the
+        // daily totals.
+        let cv = |daily: Vec<f64>| {
+            let n = daily.len() as f64;
+            let mean = daily.iter().sum::<f64>() / n;
+            let var = daily.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
+            var.sqrt() / mean
+        };
+        let cv_volatile = cv(daily_totals(&bpat_like().generate(2020, 4)));
+        let cv_steady = cv(daily_totals(&swpp_like().generate(2020, 4)));
         assert!(
             cv_volatile > cv_steady,
             "volatile {cv_volatile:.3} should exceed steady {cv_steady:.3}"

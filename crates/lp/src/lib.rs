@@ -8,9 +8,10 @@
 //!
 //! The solver handles:
 //!
-//! - minimization and maximization objectives,
-//! - `<=`, `>=`, and `=` constraints with arbitrary-sign right-hand sides,
-//! - per-variable upper bounds (variables are non-negative by convention),
+//! - minimization objectives (maximize by negating the objective),
+//! - `<=`, `>=`, and `=` constraints with arbitrary-sign right-hand sides
+//!   (variables are non-negative by convention; an upper bound is a `<=`
+//!   row),
 //! - infeasibility and unboundedness detection,
 //! - Bland's anti-cycling pivot rule.
 //!
@@ -19,13 +20,14 @@
 //! ```
 //! use ce_lp::{LinearProgram, Relation};
 //!
-//! // maximize 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18
-//! let mut lp = LinearProgram::maximize(vec![3.0, 5.0]);
+//! // maximize 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18,
+//! // as minimizing -3x - 5y
+//! let mut lp = LinearProgram::minimize(vec![-3.0, -5.0]);
 //! lp.add_constraint(vec![1.0, 0.0], Relation::Le, 4.0);
 //! lp.add_constraint(vec![0.0, 2.0], Relation::Le, 12.0);
 //! lp.add_constraint(vec![3.0, 2.0], Relation::Le, 18.0);
 //! let solution = lp.solve().expect("bounded and feasible");
-//! assert!((solution.objective() - 36.0).abs() < 1e-9);
+//! assert!((solution.objective() + 36.0).abs() < 1e-9);
 //! assert!((solution.value(0) - 2.0).abs() < 1e-9);
 //! assert!((solution.value(1) - 6.0).abs() < 1e-9);
 //! ```

@@ -1,4 +1,4 @@
-//! Problem construction: objective, constraints, bounds.
+//! Problem construction: objective and constraints.
 
 use crate::simplex;
 use crate::solution::Solution;
@@ -13,12 +13,6 @@ pub enum Relation {
     Ge,
     /// `a · x == b`
     Eq,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Sense {
-    Minimize,
-    Maximize,
 }
 
 /// Errors produced while building or solving a linear program.
@@ -38,13 +32,6 @@ pub enum LpError {
     Unbounded,
     /// The pivot-count safety limit was exceeded (numerical trouble).
     IterationLimit,
-    /// A variable index was out of range.
-    BadVariable {
-        /// The offending index.
-        index: usize,
-        /// The variable count.
-        n_vars: usize,
-    },
 }
 
 impl fmt::Display for LpError {
@@ -59,12 +46,6 @@ impl fmt::Display for LpError {
             Self::Infeasible => write!(f, "problem is infeasible"),
             Self::Unbounded => write!(f, "objective is unbounded"),
             Self::IterationLimit => write!(f, "simplex iteration limit exceeded"),
-            Self::BadVariable { index, n_vars } => {
-                write!(
-                    f,
-                    "variable index {index} out of range for {n_vars} variables"
-                )
-            }
         }
     }
 }
@@ -73,52 +54,31 @@ impl std::error::Error for LpError {}
 
 /// A linear program over non-negative variables.
 ///
-/// Variables are indexed `0..n_vars` and constrained to `x_i >= 0`; optional
-/// per-variable upper bounds can be added with
-/// [`LinearProgram::set_upper_bound`]. See the [crate docs](crate) for a
-/// worked example.
+/// Variables are indexed `0..n_vars` and constrained to `x_i >= 0`. See
+/// the [crate docs](crate) for a worked example.
 #[derive(Debug, Clone)]
 pub struct LinearProgram {
-    pub(crate) sense: Sense,
     pub(crate) objective: Vec<f64>,
     pub(crate) rows: Vec<Vec<f64>>,
     pub(crate) relations: Vec<Relation>,
     pub(crate) rhs: Vec<f64>,
-    pub(crate) upper_bounds: Vec<Option<f64>>,
 }
 
 impl LinearProgram {
-    fn new(sense: Sense, objective: Vec<f64>) -> Self {
-        let n = objective.len();
+    /// Creates a minimization problem with the given objective coefficients
+    /// (one per variable).
+    pub fn minimize(objective: Vec<f64>) -> Self {
         Self {
-            sense,
             objective,
             rows: Vec::new(),
             relations: Vec::new(),
             rhs: Vec::new(),
-            upper_bounds: vec![None; n],
         }
-    }
-
-    /// Creates a minimization problem with the given objective coefficients
-    /// (one per variable).
-    pub fn minimize(objective: Vec<f64>) -> Self {
-        Self::new(Sense::Minimize, objective)
-    }
-
-    /// Creates a maximization problem with the given objective coefficients.
-    pub fn maximize(objective: Vec<f64>) -> Self {
-        Self::new(Sense::Maximize, objective)
     }
 
     /// Number of decision variables.
     pub fn n_vars(&self) -> usize {
         self.objective.len()
-    }
-
-    /// Number of explicit constraints (not counting upper bounds).
-    pub fn n_constraints(&self) -> usize {
-        self.rows.len()
     }
 
     /// Adds the constraint `coefficients · x  <relation>  rhs`.
@@ -156,22 +116,6 @@ impl LinearProgram {
         Ok(())
     }
 
-    /// Constrains variable `var` to `x_var <= bound`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::BadVariable`] if `var` is out of range.
-    pub fn set_upper_bound(&mut self, var: usize, bound: f64) -> Result<(), LpError> {
-        if var >= self.n_vars() {
-            return Err(LpError::BadVariable {
-                index: var,
-                n_vars: self.n_vars(),
-            });
-        }
-        self.upper_bounds[var] = Some(bound);
-        Ok(())
-    }
-
     /// Solves the program.
     ///
     /// # Errors
@@ -193,7 +137,7 @@ mod tests {
         let mut lp = LinearProgram::minimize(vec![1.0, 1.0, 1.0]);
         assert_eq!(lp.n_vars(), 3);
         lp.add_constraint(vec![1.0, 0.0, 0.0], Relation::Ge, 1.0);
-        assert_eq!(lp.n_constraints(), 1);
+        assert_eq!(lp.rows.len(), 1);
         assert!(lp.try_add_constraint(vec![1.0], Relation::Le, 1.0).is_err());
     }
 
@@ -202,19 +146,6 @@ mod tests {
     fn add_constraint_panics_on_bad_dimension() {
         let mut lp = LinearProgram::minimize(vec![1.0, 1.0]);
         lp.add_constraint(vec![1.0], Relation::Le, 1.0);
-    }
-
-    #[test]
-    fn upper_bound_validates_index() {
-        let mut lp = LinearProgram::minimize(vec![1.0]);
-        assert!(lp.set_upper_bound(0, 5.0).is_ok());
-        assert_eq!(
-            lp.set_upper_bound(3, 5.0),
-            Err(LpError::BadVariable {
-                index: 3,
-                n_vars: 1
-            })
-        );
     }
 
     #[test]

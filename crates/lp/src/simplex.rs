@@ -1,6 +1,6 @@
 //! Two-phase dense tableau simplex with Bland's rule.
 
-use crate::problem::{LinearProgram, LpError, Relation, Sense};
+use crate::problem::{LinearProgram, LpError, Relation};
 use crate::solution::Solution;
 
 const EPS: f64 = 1e-9;
@@ -117,19 +117,9 @@ impl Tableau {
 pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
     let n = lp.n_vars();
 
-    // Fold upper bounds in as ordinary Le rows.
     let mut rows: Vec<Vec<f64>> = lp.rows.clone();
     let mut relations = lp.relations.clone();
     let mut rhs = lp.rhs.clone();
-    for (var, bound) in lp.upper_bounds.iter().enumerate() {
-        if let Some(b) = bound {
-            let mut coeffs = vec![0.0; n];
-            coeffs[var] = 1.0;
-            rows.push(coeffs);
-            relations.push(Relation::Le);
-            rhs.push(*b);
-        }
-    }
 
     // Normalize to rhs >= 0.
     for i in 0..rows.len() {
@@ -222,15 +212,9 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
         }
     }
 
-    // Phase 2: the real objective, as minimization.
-    let sign = match lp.sense {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
+    // Phase 2: the real objective.
     let mut phase2 = vec![0.0; total];
-    for j in 0..n {
-        phase2[j] = sign * lp.objective[j];
-    }
+    phase2[..n].copy_from_slice(&lp.objective);
     t.set_costs(&phase2);
     let artificial = t.artificial.clone();
     t.optimize(|j| !artificial[j])?;
@@ -256,12 +240,13 @@ mod tests {
 
     #[test]
     fn textbook_maximization() {
-        let mut lp = LinearProgram::maximize(vec![3.0, 5.0]);
+        // maximize 3x + 5y, as minimizing its negation.
+        let mut lp = LinearProgram::minimize(vec![-3.0, -5.0]);
         lp.add_constraint(vec![1.0, 0.0], Relation::Le, 4.0);
         lp.add_constraint(vec![0.0, 2.0], Relation::Le, 12.0);
         lp.add_constraint(vec![3.0, 2.0], Relation::Le, 18.0);
         let s = lp.solve().unwrap();
-        assert_close(s.objective(), 36.0);
+        assert_close(s.objective(), -36.0);
         assert_close(s.value(0), 2.0);
         assert_close(s.value(1), 6.0);
     }
@@ -301,7 +286,7 @@ mod tests {
 
     #[test]
     fn unbounded_detected() {
-        let mut lp = LinearProgram::maximize(vec![1.0, 0.0]);
+        let mut lp = LinearProgram::minimize(vec![-1.0, 0.0]);
         lp.add_constraint(vec![0.0, 1.0], Relation::Le, 1.0);
         assert_eq!(lp.solve().unwrap_err(), LpError::Unbounded);
     }
@@ -317,22 +302,23 @@ mod tests {
 
     #[test]
     fn upper_bounds_respected() {
-        let mut lp = LinearProgram::maximize(vec![1.0, 1.0]);
-        lp.set_upper_bound(0, 3.0).unwrap();
-        lp.set_upper_bound(1, 4.5).unwrap();
+        // maximize x + y with x <= 3, y <= 4.5 as explicit rows.
+        let mut lp = LinearProgram::minimize(vec![-1.0, -1.0]);
+        lp.add_constraint(vec![1.0, 0.0], Relation::Le, 3.0);
+        lp.add_constraint(vec![0.0, 1.0], Relation::Le, 4.5);
         let s = lp.solve().unwrap();
-        assert_close(s.objective(), 7.5);
+        assert_close(s.objective(), -7.5);
     }
 
     #[test]
     fn degenerate_problem_terminates() {
         // Classic degenerate vertex: multiple constraints meet at the optimum.
-        let mut lp = LinearProgram::maximize(vec![2.0, 3.0]);
+        let mut lp = LinearProgram::minimize(vec![-2.0, -3.0]);
         lp.add_constraint(vec![1.0, 1.0], Relation::Le, 4.0);
         lp.add_constraint(vec![1.0, 1.0], Relation::Le, 4.0);
         lp.add_constraint(vec![1.0, 2.0], Relation::Le, 6.0);
         let s = lp.solve().unwrap();
-        assert_close(s.objective(), 10.0);
+        assert_close(s.objective(), -10.0);
     }
 
     #[test]
@@ -357,15 +343,15 @@ mod tests {
     fn battery_dispatch_shape() {
         // A miniature of the dispatch LP the scheduler crate builds:
         // 3 hours, deficit d = [2, 0, 3], battery can discharge b_h <= soc
-        // carried; minimize unmet = sum(d_h - b_h), b_h <= d_h,
-        // sum(b) <= 4 (energy), b_h <= 2.5 (power).
-        let mut lp = LinearProgram::maximize(vec![1.0, 1.0, 1.0]);
+        // carried; minimize unmet = sum(d_h - b_h), i.e. maximize sum(b),
+        // with b_h <= d_h, sum(b) <= 4 (energy), b_h <= 2.5 (power).
+        let mut lp = LinearProgram::minimize(vec![-1.0, -1.0, -1.0]);
         lp.add_constraint(vec![1.0, 1.0, 1.0], Relation::Le, 4.0);
-        lp.set_upper_bound(0, 2.0).unwrap();
-        lp.set_upper_bound(1, 0.0).unwrap();
-        lp.set_upper_bound(2, 2.5).unwrap();
+        lp.add_constraint(vec![1.0, 0.0, 0.0], Relation::Le, 2.0);
+        lp.add_constraint(vec![0.0, 1.0, 0.0], Relation::Le, 0.0);
+        lp.add_constraint(vec![0.0, 0.0, 1.0], Relation::Le, 2.5);
         let s = lp.solve().unwrap();
-        assert_close(s.objective(), 4.0);
+        assert_close(s.objective(), -4.0);
         assert!(s.value(1).abs() < 1e-9);
     }
 }

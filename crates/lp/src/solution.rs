@@ -14,8 +14,7 @@ impl Solution {
         Self { x, objective }
     }
 
-    /// The optimal objective value (in the original sense — maximization
-    /// problems report the maximum, not its negation).
+    /// The optimal (minimum) objective value.
     pub fn objective(&self) -> f64 {
         self.objective
     }
@@ -32,11 +31,6 @@ impl Solution {
     /// All variable values at the optimum.
     pub fn values(&self) -> &[f64] {
         &self.x
-    }
-
-    /// Consumes the solution, returning the variable vector.
-    pub fn into_values(self) -> Vec<f64> {
-        self.x
     }
 }
 
@@ -56,7 +50,6 @@ mod tests {
         assert_eq!(s.objective(), 3.5);
         assert_eq!(s.value(1), 2.0);
         assert_eq!(s.values(), &[1.0, 2.0]);
-        assert_eq!(s.clone().into_values(), vec![1.0, 2.0]);
         assert!(s.to_string().contains("3.5"));
     }
 }

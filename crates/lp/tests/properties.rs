@@ -7,22 +7,28 @@ fn assert_close(a: f64, b: f64, tol: f64) {
     assert!((a - b).abs() <= tol, "{a} != {b} (tol {tol})");
 }
 
+/// The coefficient row of `x_i` alone, for an upper bound `x_i <= u`.
+fn unit_row(n: usize, i: usize) -> Vec<f64> {
+    let mut row = vec![0.0; n];
+    row[i] = 1.0;
+    row
+}
+
 proptest! {
     /// maximize Σ c_i x_i subject to x_i <= u_i with c, u >= 0 has the
-    /// closed-form optimum Σ c_i u_i.
+    /// closed-form optimum Σ c_i u_i (here: minimize the negation).
     #[test]
     fn box_constrained_max_has_closed_form(
         params in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..6)
     ) {
-        let c: Vec<f64> = params.iter().map(|(c, _)| *c).collect();
-        let u: Vec<f64> = params.iter().map(|(_, u)| *u).collect();
-        let mut lp = LinearProgram::maximize(c.clone());
-        for (i, &b) in u.iter().enumerate() {
-            lp.set_upper_bound(i, b).unwrap();
+        let n = params.len();
+        let mut lp = LinearProgram::minimize(params.iter().map(|(c, _)| -c).collect());
+        for (i, &(_, u)) in params.iter().enumerate() {
+            lp.add_constraint(unit_row(n, i), Relation::Le, u);
         }
         let s = lp.solve().unwrap();
-        let expected: f64 = c.iter().zip(&u).map(|(a, b)| a * b).sum();
-        assert_close(s.objective(), expected, 1e-6 * (1.0 + expected.abs()));
+        let expected: f64 = params.iter().map(|(c, u)| c * u).sum();
+        assert_close(-s.objective(), expected, 1e-6 * (1.0 + expected.abs()));
     }
 
     /// minimize Σ c_i x_i with c >= 0 and only Le constraints is 0 at x = 0.
@@ -53,8 +59,8 @@ proptest! {
         obj in prop::collection::vec(-3.0f64..3.0, 4)
     ) {
         // Nonnegative coefficients + positive rhs guarantees feasibility
-        // (x = 0 works) and upper bounds keep the problem bounded.
-        let mut lp = LinearProgram::maximize(obj[..n].to_vec());
+        // (x = 0 works) and upper-bound rows keep the problem bounded.
+        let mut lp = LinearProgram::minimize(obj[..n].iter().map(|c| -c).collect());
         let mut stored = Vec::new();
         for (coeffs, rhs) in &raw_rows {
             let row = coeffs[..n].to_vec();
@@ -62,7 +68,7 @@ proptest! {
             stored.push((row, *rhs));
         }
         for i in 0..n {
-            lp.set_upper_bound(i, 50.0).unwrap();
+            lp.add_constraint(unit_row(n, i), Relation::Le, 50.0);
         }
         let s = lp.solve().unwrap();
         for (row, rhs) in stored {
@@ -74,20 +80,20 @@ proptest! {
         }
     }
 
-    /// Adding a constraint can never improve a maximization objective.
+    /// Adding a constraint can never improve the objective.
     #[test]
     fn extra_constraint_never_improves_objective(
         c in prop::collection::vec(0.1f64..5.0, 2..4),
         cut in 0.5f64..5.0
     ) {
         let n = c.len();
-        let mut lp = LinearProgram::maximize(c.clone());
+        let mut lp = LinearProgram::minimize(c.iter().map(|c| -c).collect());
         for i in 0..n {
-            lp.set_upper_bound(i, 10.0).unwrap();
+            lp.add_constraint(unit_row(n, i), Relation::Le, 10.0);
         }
         let base = lp.solve().unwrap().objective();
         lp.add_constraint(vec![1.0; n], Relation::Le, cut);
         let constrained = lp.solve().unwrap().objective();
-        assert!(constrained <= base + 1e-6);
+        assert!(constrained >= base - 1e-6);
     }
 }

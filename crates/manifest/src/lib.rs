@@ -23,7 +23,7 @@
 //!
 //! let mut inputs = CanonicalHasher::new(ce_manifest::INPUT_DOMAIN);
 //! inputs.field_str("site", "UT");
-//! inputs.field_u64("seed", 7);
+//! inputs.field_str("seed", "7");
 //! let mut results = CanonicalHasher::new(ce_manifest::RESULT_DOMAIN);
 //! results.field_f64("coverage_fraction", 0.83);
 //!
@@ -43,7 +43,7 @@
 //! let ok = verify(&manifest, |m| {
 //!     let mut inputs = CanonicalHasher::new(ce_manifest::INPUT_DOMAIN);
 //!     inputs.field_str("site", "UT");
-//!     inputs.field_u64("seed", m.seeds[0]);
+//!     inputs.field_str("seed", &m.seeds[0].to_string());
 //!     let mut results = CanonicalHasher::new(ce_manifest::RESULT_DOMAIN);
 //!     results.field_f64("coverage_fraction", 0.83);
 //!     Recomputed {
@@ -69,7 +69,7 @@ pub use manifest::{
     verify, Manifest, ManifestError, Recomputed, VerifyError, INPUT_DOMAIN, RESULT_DOMAIN,
     SCHEMA_VERSION,
 };
-pub use sha256::{digest, Digest, Sha256};
+pub use sha256::{Digest, Sha256};
 
 include!(concat!(env!("OUT_DIR"), "/fingerprint.rs"));
 

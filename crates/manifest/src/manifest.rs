@@ -9,7 +9,6 @@
 //! anyone holding the manifest can re-run the computation and check the
 //! result hash bit-for-bit — [`verify`] is that check.
 
-use crate::canonical::CanonicalHasher;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -222,27 +221,6 @@ impl Manifest {
         Ok(())
     }
 
-    /// Canonical digest of the record itself (all fields, pinned order) —
-    /// a fingerprint of the *manifest*, distinct from the hashes it
-    /// carries.
-    pub fn digest_hex(&self) -> String {
-        let mut h = CanonicalHasher::new("ce-manifest/v1/record");
-        h.field_u64("schema", u64::from(self.schema));
-        h.field_str("kind", &self.kind);
-        h.field_str("ba", &self.ba);
-        h.field_str("strategy", &self.strategy);
-        for &year in &self.years {
-            h.field_i32("year", year);
-        }
-        for &seed in &self.seeds {
-            h.field_u64("seed", seed);
-        }
-        h.field_str("code_fingerprint", &self.code_fingerprint);
-        h.field_str("input_hash", &self.input_hash);
-        h.field_str("result_hash", &self.result_hash);
-        h.finish().to_hex()
-    }
-
     /// Deterministic JSON rendering: fixed field order, no whitespace,
     /// minimal string escaping. Embedded verbatim in served responses, so
     /// the spelling is part of the byte-determinism contract.
@@ -430,16 +408,5 @@ mod tests {
     fn address_is_the_result_hash() {
         let m = sample();
         assert_eq!(m.address(), m.result_hash);
-    }
-
-    #[test]
-    fn record_digest_covers_every_field() {
-        let base = sample().digest_hex();
-        let mut m = sample();
-        m.seeds.push(8);
-        assert_ne!(m.digest_hex(), base);
-        let mut m = sample();
-        m.strategy = "renewables_only".to_string();
-        assert_ne!(m.digest_hex(), base);
     }
 }

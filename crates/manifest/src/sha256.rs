@@ -201,10 +201,3 @@ impl Default for Sha256 {
         Sha256::new()
     }
 }
-
-/// One-shot convenience over the streaming API.
-pub fn digest(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
-}

@@ -4,7 +4,14 @@
 //! Everything downstream — input hashes, result hashes, the code
 //! fingerprint — inherits its correctness from these pins.
 
-use ce_manifest::sha256::{digest, Sha256};
+use ce_manifest::sha256::{Digest, Sha256};
+
+/// One-shot digest over the streaming API.
+fn digest(data: &[u8]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(data);
+    h.finalize()
+}
 
 /// FIPS 180-4 §5.3.3 appendix vector: the empty message.
 #[test]

@@ -7,7 +7,6 @@
 //! alone, and 6-76% at the carbon-optimal points.
 
 use crate::greedy::{CasConfig, GreedyScheduler};
-use ce_timeseries::time::HOURS_PER_DAY;
 use ce_timeseries::{HourlySeries, TimeSeriesError};
 
 /// Extra capacity implied by a scheduled demand series, as a fraction of
@@ -76,22 +75,6 @@ pub fn required_capacity_for_full_coverage(
         }
     }
     Ok(Some(hi))
-}
-
-/// Peak daily backlog a deferral policy would accumulate: for each day, the
-/// energy that must move out of deficit hours. Useful for sizing deferred
-/// work queues.
-pub fn peak_daily_deferral_mwh(demand: &HourlySeries, supply: &HourlySeries) -> f64 {
-    let full_days = demand.len().min(supply.len()) / HOURS_PER_DAY;
-    let mut peak = 0.0f64;
-    for day in 0..full_days {
-        let mut deferral = 0.0;
-        for h in day * HOURS_PER_DAY..(day + 1) * HOURS_PER_DAY {
-            deferral += (demand[h] - supply[h]).max(0.0);
-        }
-        peak = peak.max(deferral);
-    }
-    peak
 }
 
 #[cfg(test)]
@@ -170,13 +153,5 @@ mod tests {
             .unwrap()
             .expect("trivially feasible");
         assert!(cap <= 10.0 + 1e-6);
-    }
-
-    #[test]
-    fn peak_daily_deferral() {
-        let demand = HourlySeries::constant(start(), 48, 10.0);
-        let supply = HourlySeries::from_fn(start(), 48, |h| if h < 24 { 10.0 } else { 0.0 });
-        // Day 1 fully covered; day 2 has 240 MWh of deficit.
-        assert_eq!(peak_daily_deferral_mwh(&demand, &supply), 240.0);
     }
 }

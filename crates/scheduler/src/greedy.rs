@@ -154,12 +154,6 @@ impl CostOrder {
         self.source_len
     }
 
-    /// Number of full days ranked.
-    #[must_use]
-    pub fn days(&self) -> usize {
-        self.order.len() / HOURS_PER_DAY
-    }
-
     /// Re-sorts every day of `self.cost` into `self.order`. Each hour is
     /// packed into one integer key — the cost's `total_cmp`-ordered bits
     /// above, the hour index below — so sorting keys on unsigned order
@@ -261,11 +255,6 @@ impl GreedyScheduler {
             "capacity must be non-negative"
         );
         Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> CasConfig {
-        self.config
     }
 
     /// Schedules against a renewable `supply` series: load moves from the
@@ -574,7 +563,7 @@ mod tests {
             flexible_ratio: 1.0,
         });
         let result = sched.schedule(&demand, &supply).unwrap();
-        for (_, v) in result.shifted_demand.iter() {
+        for &v in result.shifted_demand.values() {
             assert!(v <= cap + 1e-9, "hour exceeds cap: {v}");
         }
     }
@@ -748,7 +737,6 @@ mod tests {
             assert_eq!(order.order, expected);
             assert_eq!(bits(&order.cost), bits(&cost[..24 * 3]));
             assert_eq!(order.source_len(), len);
-            assert_eq!(order.days(), 3);
         }
     }
 
@@ -762,7 +750,6 @@ mod tests {
         order.rebuild_from_deficit(&d2, &s2).unwrap();
         let fresh = CostOrder::from_deficit(&d2, &s2).unwrap();
         assert_eq!(order.source_len(), fresh.source_len());
-        assert_eq!(order.days(), fresh.days());
         assert_eq!(order.order, fresh.order);
         let sched = GreedyScheduler::new(CasConfig {
             max_capacity_mw: 20.0,

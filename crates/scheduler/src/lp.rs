@@ -172,7 +172,7 @@ mod tests {
         };
         let scheduled = lp_schedule(&demand, &supply, config).unwrap();
         assert!((scheduled.sum() - demand.sum()).abs() < 1e-6);
-        for (_, v) in scheduled.iter() {
+        for &v in scheduled.values() {
             assert!(v <= 22.0 + 1e-6);
         }
     }

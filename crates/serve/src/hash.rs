@@ -35,21 +35,19 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     mix(hash, bytes.len() as u64)
 }
 
-/// Hashes a string (its UTF-8 bytes).
-pub fn hash_str(s: &str) -> u64 {
-    hash_bytes(s.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deterministic_and_length_sensitive() {
-        assert_eq!(hash_str("evaluate;site=UT"), hash_str("evaluate;site=UT"));
-        assert_ne!(hash_str(""), hash_str("\0"));
-        assert_ne!(hash_str("\0"), hash_str("\0\0"));
-        assert_ne!(hash_str("abc"), hash_str("abd"));
+        assert_eq!(
+            hash_bytes(b"evaluate;site=UT"),
+            hash_bytes(b"evaluate;site=UT")
+        );
+        assert_ne!(hash_bytes(b""), hash_bytes(b"\0"));
+        assert_ne!(hash_bytes(b"\0"), hash_bytes(b"\0\0"));
+        assert_ne!(hash_bytes(b"abc"), hash_bytes(b"abd"));
     }
 
     #[test]
@@ -58,7 +56,7 @@ mod tests {
         // keys do not all land in one shard.
         let mut shards = std::collections::BTreeSet::new();
         for i in 0..64 {
-            let h = hash_str(&format!("evaluate;site=UT;seed={i}"));
+            let h = hash_bytes(format!("evaluate;site=UT;seed={i}").as_bytes());
             shards.insert(h >> 60);
         }
         assert!(shards.len() > 4, "only {} distinct shards", shards.len());
@@ -67,6 +65,5 @@ mod tests {
     #[test]
     fn empty_input_hashes_stably() {
         assert_eq!(hash_bytes(&[]), hash_bytes(&[]));
-        assert_eq!(hash_bytes(b"x"), hash_str("x"));
     }
 }

@@ -87,8 +87,8 @@ pub mod sys;
 
 pub use json::{Json, JsonError};
 pub use request::{
-    build_explorer, evaluation_json, execute, execute_with_manifest, manifest_json,
-    request_manifest, scenarios_json, ComputeKind, ComputeRequest, Context, DemandSource,
-    ExplorerCache, Limits, ManifestStore, RequestError,
+    build_explorer, evaluation_json, execute_with_manifest, manifest_json, request_manifest,
+    scenarios_json, ComputeKind, ComputeRequest, Context, DemandSource, ExplorerCache, Limits,
+    ManifestStore, RequestError,
 };
 pub use server::{start, ServerConfig, ServerHandle};

@@ -18,10 +18,10 @@
 //!
 //! # Determinism
 //!
-//! [`execute`] is a pure function of the request and the explorer: it
-//! calls the same engine entry points a library caller would and encodes
-//! with [`Json::encode`], so a served body is bitwise identical to a
-//! direct in-process computation.
+//! [`execute_with_manifest`] is a pure function of the request and the
+//! explorer: it calls the same engine entry points a library caller would
+//! and encodes with [`Json::encode`], so a served body is bitwise
+//! identical to a direct in-process computation.
 
 use crate::json::Json;
 use crate::metrics::Endpoint;
@@ -292,17 +292,6 @@ impl ComputeRequest {
             ComputeRequest::Evaluate { strategy, .. }
             | ComputeRequest::Explore { strategy, .. }
             | ComputeRequest::Optimal { strategy, .. } => *strategy,
-        }
-    }
-
-    /// Whether this request asked for a provenance manifest. The flag is
-    /// part of the canonical key: a manifest-bearing response has
-    /// different bytes, so it must be a different cache identity.
-    pub fn wants_manifest(&self) -> bool {
-        match self {
-            ComputeRequest::Evaluate { manifest, .. }
-            | ComputeRequest::Explore { manifest, .. } => *manifest,
-            ComputeRequest::Optimal { .. } => false,
         }
     }
 
@@ -873,7 +862,8 @@ pub fn explore_suffix_with_manifest(manifest: &Manifest) -> String {
 /// The opening fragment of a streamed `/explore` body: everything before
 /// the first result. Built from the same [`Json`] encoders the buffered
 /// path uses, so `explore_prefix + fragments… + `[`EXPLORE_SUFFIX`]`
-/// concatenates to exactly the bytes [`execute`] would have encoded.
+/// concatenates to exactly the bytes [`execute_with_manifest`] would have
+/// encoded.
 pub fn explore_prefix(strategy: StrategyKind, count: usize) -> String {
     let mut prefix = String::from("{\"strategy\":");
     prefix.push_str(&Json::string(strategy.canonical_key()).encode());
@@ -898,16 +888,12 @@ pub fn explore_group_fragment(evals: &[EvaluatedDesign], first: bool) -> String 
     fragment
 }
 
-/// Executes a validated request against an explorer. Pure: same request +
-/// same explorer → byte-identical [`Json::encode`] output, fresh or not.
-pub fn execute(req: &ComputeRequest, explorer: &CarbonExplorer, scratch: &mut EvalScratch) -> Json {
-    execute_with_manifest(req, explorer, scratch).0
-}
-
-/// [`execute`], also returning the provenance manifest when the request
-/// opted in (`"manifest": true`). The manifest is both embedded in the
-/// response (a trailing `manifest` field) and returned separately so the
-/// server can register it for `GET /manifest/<result_hash>` lookups.
+/// Executes a validated request against an explorer, also returning the
+/// provenance manifest when the request opted in (`"manifest": true`).
+/// Pure: same request + same explorer → byte-identical [`Json::encode`]
+/// output, fresh or not. The manifest is both embedded in the response (a
+/// trailing `manifest` field) and returned separately so the server can
+/// register it for `GET /manifest/<result_hash>` lookups.
 pub fn execute_with_manifest(
     req: &ComputeRequest,
     explorer: &CarbonExplorer,
@@ -1288,7 +1274,9 @@ mod tests {
             manifest: false,
         };
         let mut scratch = EvalScratch::default();
-        let served = execute(&req, &explorer, &mut scratch).encode();
+        let served = execute_with_manifest(&req, &explorer, &mut scratch)
+            .0
+            .encode();
         let direct = evaluation_json(&explorer.evaluate_with(
             StrategyKind::RenewablesBattery,
             &design,
@@ -1335,7 +1323,9 @@ mod tests {
         };
         let count = req.explore_points().expect("explore");
         assert_eq!(count, 3 * 2 * 4);
-        let buffered = execute(&req, &explorer, &mut EvalScratch::default()).encode();
+        let buffered = execute_with_manifest(&req, &explorer, &mut EvalScratch::default())
+            .0
+            .encode();
 
         let mut streamed = explore_prefix(strategy, count);
         let mut first = true;
@@ -1360,8 +1350,17 @@ mod tests {
             r#"{"site":"UT","strategy":"renewables_only","design":{"solar_mw":100},"manifest":false}"#,
         )
         .expect("parses");
-        assert!(flagged.wants_manifest());
-        assert!(!plain.wants_manifest());
+        assert!(matches!(
+            flagged,
+            ComputeRequest::Evaluate { manifest: true, .. }
+        ));
+        assert!(matches!(
+            plain,
+            ComputeRequest::Evaluate {
+                manifest: false,
+                ..
+            }
+        ));
         assert_ne!(
             plain.canonical_key(),
             flagged.canonical_key(),

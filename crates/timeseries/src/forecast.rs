@@ -5,40 +5,13 @@
 //! energy. Forecasts permit optimizing schedules of flexible jobs in
 //! response to energy supply." Carbon Explorer's offline analyses use
 //! oracle (actual) data; this module supplies the forecasting baselines a
-//! deployed scheduler would use instead:
-//!
-//! - [`persistence`]: tomorrow's hour `h` = today's hour `h` value at the
-//!   forecast origin (a flat carry-forward),
-//! - [`seasonal_naive`]: value at `t` = value at `t − 24 h` (carries the
-//!   diurnal shape, the standard solar baseline),
-//! - [`blended`]: a convex combination of the two.
-//!
-//! Error metrics ([`mae`], [`rmse`], [`mape`]) quantify forecast quality
-//! so online-vs-oracle scheduling gaps can be attributed.
+//! deployed scheduler would use instead: [`seasonal_naive`], whose value
+//! at `t` is the value at `t − 24 h` (it carries the diurnal shape, the
+//! standard solar baseline).
 
 use crate::series::HourlySeries;
 use crate::time::HOURS_PER_DAY;
 use crate::TimeSeriesError;
-
-/// Persistence forecast: every forecast hour repeats the last observed
-/// value. `history` must be non-empty.
-///
-/// # Errors
-///
-/// Returns [`TimeSeriesError::Empty`] for empty history.
-pub fn persistence(
-    history: &HourlySeries,
-    horizon: usize,
-) -> Result<HourlySeries, TimeSeriesError> {
-    let last = history
-        .get(history.len().wrapping_sub(1))
-        .ok_or(TimeSeriesError::Empty)?;
-    Ok(HourlySeries::constant(
-        history.start().plus_hours(history.len()),
-        horizon,
-        last,
-    ))
-}
 
 /// Seasonal-naive forecast: hour `t` of the forecast equals the observed
 /// value 24 hours before it (recursively for horizons beyond one day).
@@ -64,80 +37,6 @@ pub fn seasonal_naive(
     ))
 }
 
-/// Convex blend of persistence and seasonal-naive forecasts:
-/// `alpha × seasonal + (1 − alpha) × persistence`.
-///
-/// # Errors
-///
-/// Propagates either base forecast's error.
-///
-/// # Panics
-///
-/// Panics if `alpha` is outside `[0, 1]`.
-pub fn blended(
-    history: &HourlySeries,
-    horizon: usize,
-    alpha: f64,
-) -> Result<HourlySeries, TimeSeriesError> {
-    assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-    let seasonal = seasonal_naive(history, horizon)?;
-    let flat = persistence(history, horizon)?;
-    seasonal.zip_with(&flat, |s, p| alpha * s + (1.0 - alpha) * p)
-}
-
-/// Mean absolute error between forecast and actual.
-///
-/// # Errors
-///
-/// Returns an alignment error for misaligned series, or
-/// [`TimeSeriesError::Empty`] for empty input.
-pub fn mae(forecast: &HourlySeries, actual: &HourlySeries) -> Result<f64, TimeSeriesError> {
-    forecast.check_aligned(actual)?;
-    if forecast.is_empty() {
-        return Err(TimeSeriesError::Empty);
-    }
-    Ok(forecast.zip_with(actual, |f, a| (f - a).abs())?.mean())
-}
-
-/// Root-mean-square error between forecast and actual.
-///
-/// # Errors
-///
-/// Same conditions as [`mae`].
-pub fn rmse(forecast: &HourlySeries, actual: &HourlySeries) -> Result<f64, TimeSeriesError> {
-    forecast.check_aligned(actual)?;
-    if forecast.is_empty() {
-        return Err(TimeSeriesError::Empty);
-    }
-    Ok(forecast
-        .zip_with(actual, |f, a| (f - a).powi(2))?
-        .mean()
-        .sqrt())
-}
-
-/// Mean absolute percentage error, skipping hours where the actual is
-/// (near) zero — solar nights would otherwise blow the metric up.
-///
-/// # Errors
-///
-/// Same conditions as [`mae`].
-pub fn mape(forecast: &HourlySeries, actual: &HourlySeries) -> Result<f64, TimeSeriesError> {
-    forecast.check_aligned(actual)?;
-    if forecast.is_empty() {
-        return Err(TimeSeriesError::Empty);
-    }
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for h in 0..forecast.len() {
-        let a = actual[h];
-        if a.abs() > 1e-9 {
-            total += ((forecast[h] - a) / a).abs();
-            count += 1;
-        }
-    }
-    Ok(if count > 0 { total / count as f64 } else { 0.0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,15 +53,6 @@ mod tests {
     }
 
     #[test]
-    fn persistence_repeats_last_value() {
-        let history = HourlySeries::from_values(start(), vec![1.0, 2.0, 7.0]);
-        let forecast = persistence(&history, 4).unwrap();
-        assert_eq!(forecast.values(), &[7.0, 7.0, 7.0, 7.0]);
-        assert_eq!(forecast.start(), start().plus_hours(3));
-        assert!(persistence(&HourlySeries::zeros(start(), 0), 2).is_err());
-    }
-
-    #[test]
     fn seasonal_naive_repeats_yesterday() {
         let history = diurnal(3);
         let forecast = seasonal_naive(&history, 24).unwrap();
@@ -170,7 +60,7 @@ mod tests {
         let actual = HourlySeries::from_fn(start().plus_hours(72), 24, |h| {
             10.0 + 5.0 * (((h + 72) % 24) as f64 / 24.0 * std::f64::consts::TAU).sin()
         });
-        assert!(mae(&forecast, &actual).unwrap() < 1e-12);
+        assert_eq!(forecast, actual);
         assert!(seasonal_naive(&HourlySeries::zeros(start(), 10), 4).is_err());
     }
 
@@ -191,46 +81,10 @@ mod tests {
         let history = full.window(0, 72).unwrap();
         let actual = full.window(72, 24).unwrap();
         let seasonal = seasonal_naive(&history, 24).unwrap();
-        let flat = persistence(&history, 24).unwrap();
-        assert!(mae(&seasonal, &actual).unwrap() < mae(&flat, &actual).unwrap());
-    }
-
-    #[test]
-    fn blend_interpolates() {
-        let history = diurnal(2);
-        let s = seasonal_naive(&history, 12).unwrap();
-        let p = persistence(&history, 12).unwrap();
-        let b = blended(&history, 12, 0.5).unwrap();
-        for h in 0..12 {
-            assert!((b[h] - 0.5 * (s[h] + p[h])).abs() < 1e-12);
-        }
-        assert_eq!(blended(&history, 12, 1.0).unwrap(), s);
-        assert_eq!(blended(&history, 12, 0.0).unwrap(), p);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn blend_rejects_bad_alpha() {
-        let _ = blended(&diurnal(2), 4, 1.5);
-    }
-
-    #[test]
-    fn error_metrics() {
-        let f = HourlySeries::from_values(start(), vec![1.0, 2.0, 3.0]);
-        let a = HourlySeries::from_values(start(), vec![2.0, 2.0, 1.0]);
-        assert!((mae(&f, &a).unwrap() - 1.0).abs() < 1e-12);
-        assert!((rmse(&f, &a).unwrap() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        // MAPE skips zero actuals.
-        let a0 = HourlySeries::from_values(start(), vec![0.0, 4.0, 2.0]);
-        assert!((mape(&f, &a0).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metrics_reject_bad_input() {
-        let f = HourlySeries::zeros(start(), 2);
-        let a = HourlySeries::zeros(start(), 3);
-        assert!(mae(&f, &a).is_err());
-        let empty = HourlySeries::zeros(start(), 0);
-        assert!(rmse(&empty, &empty).is_err());
+        // Persistence: every hour repeats the last observed value.
+        let last = history[history.len() - 1];
+        let seasonal_error: f64 = (0..24).map(|h| (seasonal[h] - actual[h]).abs()).sum();
+        let flat_error: f64 = (0..24).map(|h| (last - actual[h]).abs()).sum();
+        assert!(seasonal_error < flat_error);
     }
 }

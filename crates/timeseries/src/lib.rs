@@ -11,10 +11,8 @@
 //! - the [`HourlySeries`] container ([`series`]) with elementwise arithmetic,
 //!   zipping and mapping,
 //! - summary statistics ([`stats`]): histograms, quantiles, correlation,
-//!   rolling means,
 //! - resampling ([`resample`]): daily totals, average-day (hour-of-day)
-//!   profiles, windowed slices,
-//! - minimal CSV I/O ([`csv`]) so series can be exported for plotting.
+//!   profiles, windowed slices.
 //!
 //! # Example
 //!
@@ -29,10 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csv;
 mod error;
 pub mod forecast;
-pub mod frame;
 pub mod kernels;
 pub mod resample;
 pub mod series;
@@ -40,7 +36,6 @@ pub mod stats;
 pub mod time;
 
 pub use error::TimeSeriesError;
-pub use frame::Frame;
 pub use kernels::DeficitStats;
 pub use series::HourlySeries;
 pub use time::{Date, Timestamp, HOURS_PER_DAY};

@@ -3,8 +3,8 @@
 //! The paper's supply characterization (Figure 5) needs two reductions of a
 //! year-long hourly series: the *average day* (mean generation at each hour
 //! of the day across the year) and the *daily totals* whose histogram shows
-//! day-to-day fluctuation. Both live here, alongside generic chunked
-//! reductions.
+//! day-to-day fluctuation. Both live here, alongside day splitting and
+//! profile tiling.
 
 use crate::series::HourlySeries;
 use crate::time::HOURS_PER_DAY;
@@ -25,14 +25,6 @@ pub fn daily_totals(series: &HourlySeries) -> Vec<f64> {
         .values()
         .chunks_exact(HOURS_PER_DAY)
         .map(|day| day.iter().sum())
-        .collect()
-}
-
-/// Mean of each full day; a trailing partial day is dropped.
-pub fn daily_means(series: &HourlySeries) -> Vec<f64> {
-    daily_totals(series)
-        .into_iter()
-        .map(|total| total / HOURS_PER_DAY as f64)
         .collect()
 }
 
@@ -62,37 +54,6 @@ pub fn average_day_profile(series: &HourlySeries) -> [f64; HOURS_PER_DAY] {
     out
 }
 
-/// Splits the series into consecutive full days, yielding one 24-sample
-/// window per day (a trailing partial day is dropped).
-pub fn days(series: &HourlySeries) -> Vec<HourlySeries> {
-    let full_days = series.len() / HOURS_PER_DAY;
-    (0..full_days)
-        .map(|d| {
-            // Every full day fits by construction, so the slice below is
-            // in bounds and this path is infallible (unlike the checked
-            // `window`, which would force an unreachable error arm here).
-            let start = d * HOURS_PER_DAY;
-            HourlySeries::from_values(
-                series.timestamp(start),
-                series.values()[start..start + HOURS_PER_DAY].to_vec(),
-            )
-        })
-        .collect()
-}
-
-/// Generic chunked reduction: applies `f` to consecutive `chunk` -sized
-/// windows (trailing partial chunk dropped).
-pub fn reduce_chunks(
-    series: &HourlySeries,
-    chunk: usize,
-    f: impl FnMut(&[f64]) -> f64,
-) -> Vec<f64> {
-    if chunk == 0 {
-        return Vec::new();
-    }
-    series.values().chunks_exact(chunk).map(f).collect()
-}
-
 /// Repeats a 24-hour profile across `days` days, producing an hourly series.
 pub fn tile_day_profile(
     start: crate::time::Timestamp,
@@ -115,7 +76,6 @@ mod tests {
     fn daily_totals_drops_partial_day() {
         let s = HourlySeries::constant(start(), 50, 1.0);
         assert_eq!(daily_totals(&s), vec![24.0, 24.0]);
-        assert_eq!(daily_means(&s), vec![1.0, 1.0]);
     }
 
     #[test]
@@ -135,23 +95,6 @@ mod tests {
         let profile = average_day_profile(&s);
         assert_eq!(profile[0], 12.0);
         assert_eq!(profile[1], 1.0);
-    }
-
-    #[test]
-    fn days_splits_into_windows() {
-        let s = HourlySeries::from_fn(start(), 72, |h| h as f64);
-        let ds = days(&s);
-        assert_eq!(ds.len(), 3);
-        assert_eq!(ds[1][0], 24.0);
-        assert_eq!(ds[2].start(), start().plus_hours(48));
-    }
-
-    #[test]
-    fn reduce_chunks_generic() {
-        let s = HourlySeries::from_values(start(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        let maxes = reduce_chunks(&s, 2, |c| c.iter().copied().fold(f64::MIN, f64::max));
-        assert_eq!(maxes, vec![2.0, 4.0]);
-        assert!(reduce_chunks(&s, 0, |_| 0.0).is_empty());
     }
 
     #[test]

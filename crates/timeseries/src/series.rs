@@ -97,24 +97,6 @@ impl HourlySeries {
         &mut self.values
     }
 
-    /// Consumes the series, returning its values.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
-    /// Sample `i`, or `None` if out of bounds.
-    pub fn get(&self, i: usize) -> Option<f64> {
-        self.values.get(i).copied()
-    }
-
-    /// Iterate over `(Timestamp, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Timestamp, f64)> + '_ {
-        self.values
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (self.start.plus_hours(i), v))
-    }
-
     /// Checks that `other` is aligned (same start, same length) with `self`.
     ///
     /// # Errors
@@ -174,11 +156,6 @@ impl HourlySeries {
         self.map(|v| v.max(min))
     }
 
-    /// Clamps every sample to at most `max`.
-    pub fn clamp_max(&self, max: f64) -> Self {
-        self.map(|v| v.min(max))
-    }
-
     /// Checked elementwise sum.
     ///
     /// # Errors
@@ -221,20 +198,6 @@ impl HourlySeries {
         self.values.iter().copied().reduce(f64::max)
     }
 
-    /// Index of the largest sample (first on ties), or `None` if empty.
-    pub fn argmax(&self) -> Option<usize> {
-        let max = self.max()?;
-        // ce:allow(float-eq, reason = "intentional bitwise re-find of the exact value reduce(f64::max) returned")
-        self.values.iter().position(|&v| v == max)
-    }
-
-    /// Index of the smallest sample (first on ties), or `None` if empty.
-    pub fn argmin(&self) -> Option<usize> {
-        let min = self.min()?;
-        // ce:allow(float-eq, reason = "intentional bitwise re-find of the exact value reduce(f64::min) returned")
-        self.values.iter().position(|&v| v == min)
-    }
-
     /// Number of samples for which `pred` holds.
     pub fn count_where(&self, mut pred: impl FnMut(f64) -> bool) -> usize {
         self.values.iter().filter(|&&v| pred(v)).count()
@@ -262,11 +225,6 @@ impl HourlySeries {
             start: self.start.plus_hours(offset),
             values: self.values[offset..end].to_vec(),
         })
-    }
-
-    /// Appends a sample to the end of the series.
-    pub fn push(&mut self, value: f64) {
-        self.values.push(value);
     }
 }
 
@@ -375,8 +333,6 @@ mod tests {
         assert_eq!(s.mean(), 2.25);
         assert_eq!(s.min(), Some(-1.0));
         assert_eq!(s.max(), Some(7.0));
-        assert_eq!(s.argmax(), Some(2));
-        assert_eq!(s.argmin(), Some(1));
         assert_eq!(s.count_where(|v| v > 0.0), 2);
     }
 
@@ -387,7 +343,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.argmax(), None);
     }
 
     #[test]
@@ -405,15 +360,6 @@ mod tests {
     fn clamping() {
         let s = HourlySeries::from_values(start(), vec![-2.0, 0.5, 3.0]);
         assert_eq!(s.clamp_min(0.0).values(), &[0.0, 0.5, 3.0]);
-        assert_eq!(s.clamp_max(1.0).values(), &[-2.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn iter_yields_timestamps() {
-        let s = HourlySeries::from_values(start(), vec![1.0, 2.0]);
-        let pairs: Vec<_> = s.iter().collect();
-        assert_eq!(pairs[0], (start(), 1.0));
-        assert_eq!(pairs[1], (start().plus_hours(1), 2.0));
     }
 
     #[test]

@@ -1,17 +1,14 @@
-//! Summary statistics over [`HourlySeries`] and raw slices.
+//! Summary statistics over raw slices.
 //!
 //! These back the paper's characterization figures: the daily-total
 //! histograms of Figure 5, the utilization/power correlation of Figure 3,
 //! and the quantile analysis behind the "best ten days of the year" claim.
 
-use crate::series::HourlySeries;
 use crate::TimeSeriesError;
 
 /// A fixed-width histogram over a closed value range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    lo: f64,
-    hi: f64,
     counts: Vec<usize>,
 }
 
@@ -33,7 +30,7 @@ impl Histogram {
             let idx = idx.clamp(0.0, (bins - 1) as f64) as usize;
             counts[idx] += 1;
         }
-        Ok(Self { lo, hi, counts })
+        Ok(Self { counts })
     }
 
     /// Builds a histogram spanning the observed min..max of `values`.
@@ -61,53 +58,9 @@ impl Histogram {
         &self.counts
     }
 
-    /// Center value of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bin index out of range");
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
     /// Total number of samples recorded.
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
-    }
-
-    /// Iterator over `(bin_center, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.bin_center(i), c))
-    }
-}
-
-/// Population standard deviation of `values` (0.0 for fewer than 2 samples).
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
-    var.sqrt()
-}
-
-/// Coefficient of variation (std dev / mean); 0.0 if the mean is 0.
-pub fn coefficient_of_variation(values: &[f64]) -> f64 {
-    let mean = if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    };
-    // ce:allow(float-eq, reason = "exact-zero guard against division by zero; an epsilon would misclassify tiny real means")
-    if mean == 0.0 {
-        0.0
-    } else {
-        std_dev(values) / mean
     }
 }
 
@@ -187,37 +140,9 @@ pub fn mean_of_top_k(values: &[f64], k: usize) -> Result<f64, TimeSeriesError> {
     Ok(sorted[..k].iter().sum::<f64>() / k as f64)
 }
 
-/// Mean of the `k` smallest values.
-///
-/// # Errors
-///
-/// Returns [`TimeSeriesError::Empty`] if `values` is empty or `k == 0`.
-pub fn mean_of_bottom_k(values: &[f64], k: usize) -> Result<f64, TimeSeriesError> {
-    if values.is_empty() || k == 0 {
-        return Err(TimeSeriesError::Empty);
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let k = k.min(sorted.len());
-    Ok(sorted[..k].iter().sum::<f64>() / k as f64)
-}
-
-/// Centered-window rolling mean; the window is truncated at the edges, so
-/// the output has the same length as the input.
-pub fn rolling_mean(series: &HourlySeries, window: usize) -> HourlySeries {
-    let half = window / 2;
-    let values = series.values();
-    HourlySeries::from_fn(series.start(), values.len(), |i| {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(values.len());
-        values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Timestamp;
 
     #[test]
     fn histogram_counts_and_centers() {
@@ -228,8 +153,6 @@ mod tests {
         assert_eq!(h.counts()[1], 2);
         assert_eq!(h.counts()[2], 1);
         assert_eq!(h.counts()[9], 1);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-        assert!((h.bin_center(9) - 9.5).abs() < 1e-12);
     }
 
     #[test]
@@ -250,13 +173,6 @@ mod tests {
     fn histogram_from_values_handles_constant_input() {
         let h = Histogram::from_values(&[2.0, 2.0, 2.0], 4).unwrap();
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn std_dev_known_values() {
-        assert_eq!(std_dev(&[1.0]), 0.0);
-        let sd = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((sd - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -281,32 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn top_and_bottom_k() {
+    fn top_k() {
         let v = [5.0, 1.0, 9.0, 3.0];
         assert_eq!(mean_of_top_k(&v, 2).unwrap(), 7.0);
-        assert_eq!(mean_of_bottom_k(&v, 2).unwrap(), 2.0);
         // k larger than the slice falls back to the whole slice.
         assert_eq!(mean_of_top_k(&v, 10).unwrap(), 4.5);
         assert!(mean_of_top_k(&v, 0).is_err());
-    }
-
-    #[test]
-    fn rolling_mean_smooths() {
-        let s = HourlySeries::from_values(
-            Timestamp::start_of_year(2020),
-            vec![0.0, 10.0, 0.0, 10.0, 0.0],
-        );
-        let r = rolling_mean(&s, 3);
-        assert_eq!(r.len(), 5);
-        assert_eq!(r[1], 10.0 / 3.0);
-        // Edges use truncated windows.
-        assert_eq!(r[0], 5.0);
-    }
-
-    #[test]
-    fn coefficient_of_variation_basics() {
-        assert_eq!(coefficient_of_variation(&[]), 0.0);
-        assert_eq!(coefficient_of_variation(&[5.0, 5.0]), 0.0);
-        assert!(coefficient_of_variation(&[1.0, 9.0]) > 0.5);
     }
 }

@@ -128,22 +128,7 @@ impl Date {
         doy + u32::from(self.day)
     }
 
-    /// Builds a date from a 1-based ordinal day of the year.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TimeSeriesError::InvalidDate`] if `doy` is 0 or exceeds the
-    /// number of days in `year`.
-    pub fn from_day_of_year(year: i32, doy: u32) -> Result<Self, TimeSeriesError> {
-        if doy == 0 || doy > days_in_year(year) {
-            return Err(TimeSeriesError::InvalidDate {
-                what: "day of year out of range",
-            });
-        }
-        Ok(Self::from_day_of_year_clamped(year, doy))
-    }
-
-    /// Infallible companion to [`Date::from_day_of_year`]: walks the
+    /// Builds a date from a 1-based ordinal day of the year: walks the
     /// months, clamping out-of-range inputs to Jan 1 / Dec 31 instead of
     /// failing. Callers guarantee `1 <= doy <= days_in_year(year)`.
     fn from_day_of_year_clamped(year: i32, doy: u32) -> Self {
@@ -162,26 +147,6 @@ impl Date {
             year,
             month,
             day: remaining.min(dim) as u8,
-        }
-    }
-
-    /// The next calendar day (rolls over month and year boundaries).
-    pub fn succ(&self) -> Self {
-        if self.day < days_in_month(self.year, self.month) {
-            Self {
-                // ce:allow(arith, reason = "guarded by the branch: day < days_in_month <= 31")
-                day: self.day + 1,
-                ..*self
-            }
-        } else if self.month < 12 {
-            Self {
-                year: self.year,
-                // ce:allow(arith, reason = "guarded by the branch: month < 12")
-                month: self.month + 1,
-                day: 1,
-            }
-        } else {
-            Self::start_of_year(self.year.saturating_add(1))
         }
     }
 }
@@ -321,20 +286,10 @@ mod tests {
     fn day_of_year_roundtrip_whole_year() {
         for year in [2020, 2021] {
             for doy in 1..=days_in_year(year) {
-                let date = Date::from_day_of_year(year, doy).unwrap();
+                let date = Date::from_day_of_year_clamped(year, doy);
                 assert_eq!(date.day_of_year(), doy);
             }
         }
-    }
-
-    #[test]
-    fn date_succ_rolls_over() {
-        let d = Date::new(2020, 12, 31).unwrap();
-        assert_eq!(d.succ(), Date::start_of_year(2021));
-        let d = Date::new(2020, 2, 29).unwrap();
-        assert_eq!(d.succ(), Date::new(2020, 3, 1).unwrap());
-        let d = Date::new(2020, 1, 15).unwrap();
-        assert_eq!(d.succ(), Date::new(2020, 1, 16).unwrap());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use ce_datacenter::{DataCenterSite, Fleet, PowerModel, UtilizationModel, WorkloadMix};
     pub use ce_embodied::EmbodiedParams;
-    pub use ce_grid::{BalancingAuthority, FuelType, GridDataset, PriceModel};
+    pub use ce_grid::{BalancingAuthority, FuelType, GridDataset};
     pub use ce_scheduler::{CasConfig, CombinedConfig, GreedyScheduler, TieredScheduler};
     pub use ce_timeseries::{HourlySeries, Timestamp};
 }

@@ -2,7 +2,6 @@
 //! function of its seed, because the committed EXPERIMENTS.md numbers are
 //! promised to be bit-for-bit reproducible.
 
-use carbon_explorer::datacenter::jobs::JobTraceGenerator;
 use carbon_explorer::prelude::*;
 
 #[test]
@@ -33,13 +32,6 @@ fn demand_traces_are_seed_deterministic_and_site_separated() {
     let ut_normalized = ut.demand_trace(2020, 7).scale(1.0 / ut.avg_power_mw());
     let or_normalized = or.demand_trace(2020, 7).scale(1.0 / or.avg_power_mw());
     assert_ne!(ut_normalized, or_normalized);
-}
-
-#[test]
-fn job_populations_are_seed_deterministic() {
-    let generator = JobTraceGenerator::default();
-    assert_eq!(generator.generate(2020, 1), generator.generate(2020, 1));
-    assert_ne!(generator.generate(2020, 1), generator.generate(2020, 2));
 }
 
 #[test]

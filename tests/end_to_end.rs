@@ -120,9 +120,10 @@ fn net_zero_annual_matching_hides_hourly_deficits() {
         .grid()
         .scaled_renewables(site.solar_mw(), site.wind_mw());
     // Annual credits cover consumption...
-    assert!(carbon_explorer::core::scenario::achieves_net_zero(
-        &demand, &supply
-    ));
+    let intensity = explorer.grid().carbon_intensity();
+    let annual =
+        match_credits(&demand, &supply, &intensity, MatchingGranularity::Annual).expect("aligned");
+    assert!(annual.matched_fraction() >= 1.0 - 1e-9);
     // ...but hourly coverage is below 100%.
     let coverage = renewable_coverage(&demand, &supply).expect("aligned");
     assert!(!coverage.is_full());

@@ -33,7 +33,7 @@ proptest! {
         let direct = demand.sum() - r.unmet.sum() - r.battery_supplied.sum();
         let charged = supply.sum() - direct - r.curtailed.sum();
         // Battery books balance: initial + charged - discharged = final SoC.
-        let final_soc = r.soc.get(n - 1).unwrap_or(0.0);
+        let final_soc = r.soc.values().get(n - 1).copied().unwrap_or(0.0);
         let books = capacity + charged - r.total_discharged_mwh;
         prop_assert!((books - final_soc).abs() < 1e-6,
             "battery books {books} vs soc {final_soc}");

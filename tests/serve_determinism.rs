@@ -6,7 +6,8 @@
 
 use carbon_explorer::core::{provenance, EvalScratch};
 use carbon_explorer::serve::{
-    build_explorer, execute, start, ComputeKind, ComputeRequest, Json, Limits, ServerConfig,
+    build_explorer, execute_with_manifest, start, ComputeKind, ComputeRequest, Json, Limits,
+    ServerConfig,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -94,7 +95,9 @@ fn direct_bytes(kind: ComputeKind, body: &str) -> String {
     let request = ComputeRequest::parse(kind, &json, &Limits::default()).expect("valid request");
     let explorer = build_explorer(request.context()).expect("explorer");
     let mut scratch = EvalScratch::default();
-    execute(&request, &explorer, &mut scratch).encode()
+    execute_with_manifest(&request, &explorer, &mut scratch)
+        .0
+        .encode()
 }
 
 /// Asserts two parsed JSON trees are equal with numbers compared by
