@@ -44,4 +44,7 @@ pub use lifetime::{cycle_life, lifetime_years, lifetime_years_capped};
 pub use policy::{
     dispatch_with_policy, DispatchPolicy, GreedyPolicy, PeakShavingPolicy, ThresholdPolicy,
 };
-pub use simulate::{simulate_dispatch, simulate_dispatch_stats, DispatchResult, DispatchStats};
+pub use simulate::{
+    simulate_dispatch, simulate_dispatch_stats, simulate_dispatch_stats_until, DispatchResult,
+    DispatchStats,
+};

@@ -2,10 +2,12 @@
 //! charge on renewable surplus, discharge on renewable deficit.
 
 use crate::api::BatteryModel;
-use ce_timeseries::kernels::COVERED_EPSILON_MWH;
+use ce_timeseries::kernels::{GiveUp, Never, COVERED_EPSILON_MWH};
 use ce_timeseries::stats::Histogram;
 use ce_timeseries::{DeficitStats, HourlySeries, TimeSeriesError};
+use std::convert::Infallible;
 use std::iter;
+use std::ops::ControlFlow;
 
 /// The outcome of dispatching a battery over a demand/supply pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,25 +71,30 @@ struct DispatchTotals {
 }
 
 /// The greedy dispatch policy, written once for [`simulate_dispatch`] and
-/// [`simulate_dispatch_stats`]: resets `battery` to full, steps it through
-/// every hour of `demand`/`supply` (surplus charges, deficit discharges)
-/// and hands each hour, with that hour's item of `tags`, to `sink` in hour
-/// order. The two wrappers differ only in their sink, so the traced
-/// series and the streamed aggregates come from the same float operations.
-/// `tags` carries per-hour data only one sink needs (the stats fold's
-/// weight), zipped in so that sink indexes nothing.
+/// [`simulate_dispatch_stats_until`]: resets `battery` to full, steps it
+/// through every hour of `demand`/`supply` (surplus charges, deficit
+/// discharges) and hands each hour, with that hour's item of `tags`, to
+/// `sink` in hour order. The wrappers differ only in their sink, so the
+/// traced series and the streamed aggregates come from the same float
+/// operations. `tags` carries per-hour data only one sink needs (the
+/// stats fold's weight), zipped in so that sink indexes nothing. The run
+/// stops at the first hour whose sink returns `Break`.
+///
+/// Every hour's grid draw is `>= 0`: zero on surplus, and on deficit
+/// `deficit − delivered` with `delivered <= deficit` (a [`BatteryModel`]
+/// delivers at most the power requested).
 ///
 /// Forced inline so each wrapper compiles the loop with its own sink in
 /// place and the stats path keeps none of the trace's per-hour work.
 // ce:hot
 #[inline(always)]
-fn dispatch_hours<B: BatteryModel + ?Sized, T>(
+fn dispatch_hours<B: BatteryModel + ?Sized, T, S>(
     battery: &mut B,
     demand: &[f64],
     supply: &[f64],
     tags: impl IntoIterator<Item = T>,
-    mut sink: impl FnMut(DispatchHour, T),
-) -> DispatchTotals {
+    mut sink: impl FnMut(DispatchHour, T) -> ControlFlow<S>,
+) -> ControlFlow<S, DispatchTotals> {
     battery.reset(1.0);
     let mut discharged_mwh = 0.0;
     for ((&d, &s), tag) in demand.iter().zip(supply).zip(tags) {
@@ -112,17 +119,17 @@ fn dispatch_hours<B: BatteryModel + ?Sized, T>(
                 soc,
             },
             tag,
-        );
+        )?;
     }
     let usable = battery.usable_capacity_mwh();
-    DispatchTotals {
+    ControlFlow::Continue(DispatchTotals {
         discharged_mwh,
         equivalent_cycles: if usable > 0.0 {
             discharged_mwh / usable
         } else {
             0.0
         },
-    }
+    })
 }
 
 /// Simulates hour-by-hour dispatch of `battery` against a datacenter
@@ -147,7 +154,7 @@ pub fn simulate_dispatch(
     let mut supplied = Vec::with_capacity(len);
     let mut curtailed = Vec::with_capacity(len);
     let mut soc = Vec::with_capacity(len);
-    let totals = dispatch_hours(
+    let ControlFlow::Continue(totals) = dispatch_hours(
         battery,
         demand.values(),
         supply.values(),
@@ -157,6 +164,7 @@ pub fn simulate_dispatch(
             supplied.push(hour.supplied);
             curtailed.push(hour.curtailed);
             soc.push(hour.soc);
+            ControlFlow::<Infallible>::Continue(())
         },
     );
     let start = demand.start();
@@ -211,6 +219,34 @@ pub fn simulate_dispatch_stats<B: BatteryModel + ?Sized>(
     supply: &HourlySeries,
     weight: &HourlySeries,
 ) -> Result<DispatchStats, TimeSeriesError> {
+    let ControlFlow::Continue(stats) =
+        simulate_dispatch_stats_until(battery, demand, supply, weight, Never)?;
+    Ok(stats)
+}
+
+/// [`simulate_dispatch_stats`] that tests `give_up` on the running
+/// weighted grid draw after every hour and stops at the first `Break`,
+/// returning it in place of the stats. With [`Never`] it is
+/// [`simulate_dispatch_stats`]; a run that does not give up returns the
+/// same stats, bit for bit, whatever the rule.
+///
+/// Each hour's grid draw is `>= 0`, so with a `weight` that is `>= 0`
+/// everywhere the running sum never falls, and a
+/// [`ce_timeseries::kernels::CarbonLimit`] that fires has a final
+/// `unmet_dot` at or past its limit.
+///
+/// # Errors
+///
+/// Returns an alignment error if `demand`, `supply`, and `weight` are not
+/// mutually aligned.
+// ce:hot
+pub fn simulate_dispatch_stats_until<B: BatteryModel + ?Sized, G: GiveUp>(
+    battery: &mut B,
+    demand: &HourlySeries,
+    supply: &HourlySeries,
+    weight: &HourlySeries,
+    give_up: G,
+) -> Result<ControlFlow<G::Stop, DispatchStats>, TimeSeriesError> {
     demand.check_aligned(supply)?;
     demand.check_aligned(weight)?;
     let mut unmet_mwh = 0.0;
@@ -228,9 +264,14 @@ pub fn simulate_dispatch_stats<B: BatteryModel + ?Sized>(
                 covered_hours += 1;
             }
             unmet_dot += u * wh;
+            give_up.test(unmet_dot)
         },
     );
-    Ok(DispatchStats {
+    let totals = match totals {
+        ControlFlow::Continue(totals) => totals,
+        ControlFlow::Break(stop) => return Ok(ControlFlow::Break(stop)),
+    };
+    Ok(ControlFlow::Continue(DispatchStats {
         deficit: DeficitStats {
             unmet_mwh,
             covered_hours,
@@ -238,7 +279,7 @@ pub fn simulate_dispatch_stats<B: BatteryModel + ?Sized>(
         unmet_dot,
         total_discharged_mwh: totals.discharged_mwh,
         equivalent_cycles: totals.equivalent_cycles,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -362,29 +403,34 @@ mod tests {
         (demand, supply, weight)
     }
 
-    #[test]
-    fn dispatch_stats_match_materialized_reductions_bitwise() {
-        // The year-like fixture, and a single deficit hour that is both
-        // the first and the last hour of its run.
-        let fixtures = [
+    /// The year-like fixture, and a single deficit hour that is both the
+    /// first and the last hour of its run.
+    fn stats_fixtures() -> [(HourlySeries, HourlySeries, HourlySeries); 2] {
+        [
             stats_fixture(),
             (
                 HourlySeries::constant(start(), 1, 50.0),
                 HourlySeries::constant(start(), 1, 4.0),
                 HourlySeries::constant(start(), 1, 0.7),
             ),
-        ];
-        for (demand, supply, weight) in &fixtures {
-            // Ideal and CLC batteries, including zero-capacity and DoD
-            // floors.
-            let batteries: Vec<Box<dyn BatteryModel>> = vec![
-                Box::new(IdealBattery::new(30.0)),
-                Box::new(IdealBattery::new(0.0)),
-                Box::new(ClcBattery::lfp(30.0, 1.0)),
-                Box::new(ClcBattery::lfp(30.0, 0.6)),
-                Box::new(ClcBattery::sodium_ion(15.0, 0.8)),
-            ];
-            for mut battery in batteries {
+        ]
+    }
+
+    /// Ideal and CLC batteries, including zero-capacity and DoD floors.
+    fn stats_batteries() -> Vec<Box<dyn BatteryModel>> {
+        vec![
+            Box::new(IdealBattery::new(30.0)),
+            Box::new(IdealBattery::new(0.0)),
+            Box::new(ClcBattery::lfp(30.0, 1.0)),
+            Box::new(ClcBattery::lfp(30.0, 0.6)),
+            Box::new(ClcBattery::sodium_ion(15.0, 0.8)),
+        ]
+    }
+
+    #[test]
+    fn dispatch_stats_match_materialized_reductions_bitwise() {
+        for (demand, supply, weight) in &stats_fixtures() {
+            for mut battery in stats_batteries() {
                 let full = simulate_dispatch(battery.as_mut(), demand, supply).unwrap();
                 let stats =
                     simulate_dispatch_stats(battery.as_mut(), demand, supply, weight).unwrap();
@@ -422,6 +468,52 @@ mod tests {
                     stats.equivalent_cycles.to_bits(),
                     full.equivalent_cycles.to_bits()
                 );
+            }
+        }
+    }
+
+    /// The stats fields by bit pattern, so that the signs of zeros count.
+    fn stats_bits(stats: &DispatchStats) -> [u64; 5] {
+        [
+            stats.deficit.unmet_mwh.to_bits(),
+            stats.deficit.covered_hours as u64,
+            stats.unmet_dot.to_bits(),
+            stats.total_discharged_mwh.to_bits(),
+            stats.equivalent_cycles.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn give_up_fires_exactly_at_its_limit() {
+        use ce_timeseries::kernels::CarbonLimit;
+        for (demand, supply, weight) in &stats_fixtures() {
+            for mut battery in stats_batteries() {
+                let full =
+                    simulate_dispatch_stats(battery.as_mut(), demand, supply, weight).unwrap();
+                let until = |battery: &mut dyn BatteryModel, offset: f64, limit: f64| {
+                    let limit = CarbonLimit { offset, limit };
+                    simulate_dispatch_stats_until(battery, demand, supply, weight, limit).unwrap()
+                };
+                for offset in [0.0, 1.0, 1234.5] {
+                    // The final sum plus the offset is the lowest limit
+                    // the run reaches: there it gives up, one ulp above
+                    // it completes with the stats of a run with no limit.
+                    let reached = full.unmet_dot + offset;
+                    assert!(until(battery.as_mut(), offset, reached).is_break());
+                    match until(battery.as_mut(), offset, reached.next_up()) {
+                        ControlFlow::Continue(stats) => {
+                            assert_eq!(stats_bits(&stats), stats_bits(&full));
+                        }
+                        ControlFlow::Break(()) => panic!("gave up below its limit"),
+                    }
+                }
+                // A NaN offset compares false: even a limit of −∞ holds.
+                match until(battery.as_mut(), f64::NAN, f64::NEG_INFINITY) {
+                    ControlFlow::Continue(stats) => {
+                        assert_eq!(stats_bits(&stats), stats_bits(&full));
+                    }
+                    ControlFlow::Break(()) => panic!("a NaN offset gave up"),
+                }
             }
         }
     }

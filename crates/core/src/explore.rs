@@ -3,17 +3,19 @@
 
 use crate::coverage::Coverage;
 use crate::design::{axis_values, DesignPoint, DesignSpace, StrategyKind};
-use ce_battery::{simulate_dispatch_stats, ClcBattery};
+use ce_battery::{simulate_dispatch_stats_until, ClcBattery};
 use ce_datacenter::WorkloadMix;
 use ce_embodied::EmbodiedParams;
 use ce_grid::GridDataset;
 use ce_scheduler::{
-    combined_dispatch_stats, CasConfig, CombinedConfig, CombinedScratch, CostOrder,
+    combined_dispatch_stats_until, CasConfig, CombinedConfig, CombinedScratch, CostOrder,
     GreedyScheduler, ScheduleScratch,
 };
-use ce_timeseries::{kernels, HourlySeries};
+use ce_timeseries::kernels::{self, CarbonLimit, GiveUp};
+use ce_timeseries::HourlySeries;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A fully scored design point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -279,9 +281,12 @@ impl CarbonExplorer {
     /// alongside the supply, so the per-day cost sort is likewise hoisted
     /// out of the sub-grid loop. Every strategy arm folds its dispatch to
     /// (unmet stats, operational tons, cycles) through the streaming
-    /// kernels without materializing any per-hour series.
+    /// kernels without materializing any per-hour series. The battery and
+    /// battery + CAS arms hand `give_up` to their dispatch kernel and
+    /// return its `Break`; the other two arms score in full.
     // ce:hot
-    fn score_with_supply(
+    #[allow(clippy::too_many_arguments)]
+    fn score_with_supply<G: GiveUp>(
         &self,
         strategy: StrategyKind,
         design: &DesignPoint,
@@ -289,7 +294,8 @@ impl CarbonExplorer {
         schedule: &mut ScheduleScratch,
         combined: &mut CombinedScratch,
         cost_order: &CostOrder,
-    ) -> EvaluatedDesign {
+        give_up: G,
+    ) -> ControlFlow<G::Stop, EvaluatedDesign> {
         assert!(
             design.solar_mw.is_finite()
                 && design.wind_mw.is_finite()
@@ -317,13 +323,18 @@ impl CarbonExplorer {
             }
             StrategyKind::RenewablesBattery => {
                 let mut battery = ClcBattery::lfp(battery_mwh, self.dod);
-                let result = simulate_dispatch_stats(
+                let result = simulate_dispatch_stats_until(
                     &mut battery,
                     &self.demand,
                     supply,
                     &self.grid_intensity,
+                    give_up,
                 )
                 .expect("aligned");
+                let result = match result {
+                    ControlFlow::Continue(result) => result,
+                    ControlFlow::Break(stop) => return ControlFlow::Break(stop),
+                };
                 (result.deficit, result.unmet_dot, result.equivalent_cycles)
             }
             StrategyKind::RenewablesCas => {
@@ -343,7 +354,7 @@ impl CarbonExplorer {
             }
             StrategyKind::RenewablesBatteryCas => {
                 let mut battery = ClcBattery::lfp(battery_mwh, self.dod);
-                let result = combined_dispatch_stats(
+                let result = combined_dispatch_stats_until(
                     &mut battery,
                     &self.demand,
                     supply,
@@ -354,8 +365,13 @@ impl CarbonExplorer {
                         window_hours: 24,
                     },
                     combined,
+                    give_up,
                 )
                 .expect("aligned");
+                let result = match result {
+                    ControlFlow::Continue(result) => result,
+                    ControlFlow::Break(stop) => return ControlFlow::Break(stop),
+                };
                 (result.deficit, result.unmet_dot, result.equivalent_cycles)
             }
         };
@@ -370,7 +386,7 @@ impl CarbonExplorer {
         let (embodied_renewables_tons, embodied_battery_tons, embodied_servers_tons) =
             self.embodied_terms(strategy, design, cycles);
 
-        EvaluatedDesign {
+        ControlFlow::Continue(EvaluatedDesign {
             strategy,
             design: *design,
             coverage,
@@ -379,7 +395,7 @@ impl CarbonExplorer {
             embodied_battery_tons,
             embodied_servers_tons,
             battery_cycles: cycles,
-        }
+        })
     }
 
     /// The embodied carbon of `design` under `strategy`, tons CO2 per
@@ -404,10 +420,16 @@ impl CarbonExplorer {
     ///   every intensity sample is `>= 0` it is `>= 0`, so
     ///   total `>=` embodied `>=` bound.
     ///
+    /// The same argument bounds a point mid-dispatch. Each term of the
+    /// operational sum is `>= 0`, so the final sum is `>=` every partial
+    /// one, and total `>= fl(partial + bound)` since f64 addition is
+    /// monotone. The search gives up on a battery or battery + CAS point
+    /// once that passes its limit.
+    ///
     /// Both preconditions are checked, not assumed: intensity once in
     /// [`CarbonExplorer::new`], the battery coefficient on every search
     /// (`with_embodied` accepts any value). When either fails the search
-    /// skips nothing.
+    /// skips nothing and gives up on nothing.
     fn embodied_terms(
         &self,
         strategy: StrategyKind,
@@ -551,9 +573,12 @@ impl CarbonExplorer {
     /// why it is sound), and skips the point when the bound is already `>=`
     /// the lane incumbent's total: the incumbent comes earlier in sweep
     /// order, so it would win even a tie. A group's supply is built only
-    /// when one of its points survives. Lanes combine by lower total,
-    /// then by lower index pair, which is exactly the first minimum in
-    /// sweep order whatever the lane count.
+    /// when one of its points survives. A battery or battery + CAS point
+    /// that survives runs its dispatch under a [`CarbonLimit`] and is
+    /// dropped at the first hour where its running operational carbon
+    /// plus the bound reaches the incumbent's total, for the same reason.
+    /// Lanes combine by lower total, then by lower index pair, which is
+    /// exactly the first minimum in sweep order whatever the lane count.
     pub fn optimal(&self, strategy: StrategyKind, space: &DesignSpace) -> Option<EvaluatedDesign> {
         self.search(strategy, space, None)
     }
@@ -592,6 +617,13 @@ impl CarbonExplorer {
     /// ceiling, and otherwise a point whose total is not (or `None`), so a
     /// caller that keeps only a strictly lower total gets what the full
     /// search would give it.
+    ///
+    /// The limit `t` of both tests is the lower of the lane incumbent's
+    /// total and the ceiling. A point is skipped when its bound `b` is
+    /// `>= t`; a battery or battery + CAS point is also given up
+    /// mid-dispatch once `fl(partial + b) >= t`, where `partial` is its
+    /// running operational carbon. With neither an incumbent nor a
+    /// ceiling there is no `t`, and the point is scored in full.
     fn search(
         &self,
         strategy: StrategyKind,
@@ -613,17 +645,35 @@ impl CarbonExplorer {
                     let mut walk = self.walk_group(strategy, solar_mw, wind_mw, scratch);
                     for (s, &axes) in sub.iter().enumerate() {
                         let design = walk.design(axes);
+                        let mut limit = None;
                         if bounded {
                             let (renewables, battery, servers) =
                                 self.embodied_terms(strategy, &design, 0.0);
                             let bound = renewables + battery + servers;
-                            let beaten = best.as_ref().is_some_and(|b| bound >= b.total)
-                                || ceiling.is_some_and(|c| bound >= c);
-                            if beaten {
+                            // The lower of the incumbent's total and the
+                            // ceiling. `f64::min` passes over a NaN, which
+                            // beats nothing either way.
+                            let to_beat = best
+                                .as_ref()
+                                .map(|b| b.total)
+                                .into_iter()
+                                .chain(ceiling)
+                                .reduce(f64::min);
+                            if to_beat.is_some_and(|t| bound >= t) {
                                 continue;
                             }
+                            limit = to_beat.map(|limit| CarbonLimit {
+                                offset: bound,
+                                limit,
+                            });
                         }
-                        let eval = walk.score(&design);
+                        let eval = match limit {
+                            Some(limit) => match walk.score_until(&design, limit) {
+                                ControlFlow::Continue(eval) => eval,
+                                ControlFlow::Break(()) => continue,
+                            },
+                            None => walk.score(&design),
+                        };
                         let candidate = Candidate {
                             index: (g, s),
                             total: eval.total_tons(),
@@ -674,6 +724,17 @@ impl GroupWalk<'_> {
 
     /// Scores `design`, whose solar and wind are the group's.
     fn score(&mut self, design: &DesignPoint) -> EvaluatedDesign {
+        let ControlFlow::Continue(eval) = self.score_until(design, kernels::Never);
+        eval
+    }
+
+    /// [`GroupWalk::score`] whose battery dispatch, if any, stops at
+    /// `give_up`'s first `Break`.
+    fn score_until<G: GiveUp>(
+        &mut self,
+        design: &DesignPoint,
+        give_up: G,
+    ) -> ControlFlow<G::Stop, EvaluatedDesign> {
         let explorer = self.explorer;
         let demand = &explorer.demand;
         let EvalScratch {
@@ -701,6 +762,7 @@ impl GroupWalk<'_> {
             schedule,
             combined,
             cost_order,
+            give_up,
         )
     }
 }
@@ -1033,6 +1095,59 @@ mod tests {
             {
                 assert_eq!(name_a, &name_b);
                 assert_eq!(va.to_bits(), vb.to_bits(), "{name_a} differs");
+            }
+        }
+    }
+
+    /// A ceiling one ulp above the optimum's total leaves the optimum
+    /// strictly below it, so `search` must still return it, bit for bit.
+    /// Where the zero-cycle bound is the optimum's exact embodied carbon,
+    /// a dispatch give-up that fires even one part in 10^12 below its
+    /// limit loses it. The grid is `pruned_search.rs`'s 5 × 3 groups; NC's
+    /// all-zero wind makes ties for the lanes to break.
+    #[test]
+    fn search_keeps_an_optimum_one_ulp_below_its_ceiling() {
+        let space = DesignSpace {
+            solar: (30.0, 630.0, 5),
+            wind: (10.0, 410.0, 3),
+            battery: (0.0, 270.0, 4),
+            extra_capacity: (0.0, 0.9, 3),
+        };
+        for state in ["UT", "NC"] {
+            let site = Fleet::meta_us().site(state).unwrap().clone();
+            let grid = GridDataset::synthesize(site.ba(), 2020, 7);
+            let explorer = CarbonExplorer::new(site.demand_trace(2020, 7), grid);
+            for strategy in StrategyKind::ALL {
+                // The first minimum in sweep order: the serial strictly-less fold.
+                let optimum = explorer
+                    .explore(strategy, &space)
+                    .into_iter()
+                    .reduce(|best, e| {
+                        if e.total_tons() < best.total_tons() {
+                            e
+                        } else {
+                            best
+                        }
+                    })
+                    .unwrap();
+                let ceiling = Some(optimum.total_tons().next_up());
+                let parallel = explorer.search(strategy, &space, ceiling);
+                let serial = ce_parallel::run_serial(|| explorer.search(strategy, &space, ceiling));
+                for (found, lanes) in [(parallel, "parallel"), (serial, "serial")] {
+                    let found = found.unwrap_or_else(|| panic!("{state} {strategy} {lanes}: lost"));
+                    assert_eq!(found.design, optimum.design, "{state} {strategy} {lanes}");
+                    for ((name, a), (_, b)) in found
+                        .canonical_fields()
+                        .iter()
+                        .zip(optimum.canonical_fields())
+                    {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{state} {strategy} {lanes}: {name}"
+                        );
+                    }
+                }
             }
         }
     }

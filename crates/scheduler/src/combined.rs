@@ -13,11 +13,13 @@
 //! SLOs are never violated.
 
 use ce_battery::BatteryModel;
-use ce_timeseries::kernels::COVERED_EPSILON_MWH;
+use ce_timeseries::kernels::{GiveUp, Never, COVERED_EPSILON_MWH};
 use ce_timeseries::{DeficitStats, HourlySeries, TimeSeriesError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::iter;
+use std::ops::ControlFlow;
 
 /// Configuration for the combined battery + CAS dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,8 +59,6 @@ pub struct CombinedResult {
     pub deferred_mwh: f64,
     /// Energy force-run on grid power at its SLO deadline, MWh.
     pub forced_mwh: f64,
-    /// Largest backlog of deferred work at any instant, MWh.
-    pub peak_backlog_mwh: f64,
     /// Equivalent full battery cycles performed.
     pub equivalent_cycles: f64,
 }
@@ -69,16 +69,6 @@ pub struct CombinedResult {
 #[derive(Debug, Clone, Default)]
 pub struct CombinedScratch {
     backlog: VecDeque<(usize, f64)>,
-}
-
-/// Energy waiting in the deferral backlog, MWh. Folded from +0.0:
-/// `Iterator::sum` of an empty backlog is −0.0, and `f64::max(0.0, -0.0)`
-/// may return either zero, which would leave the sign of
-/// `peak_backlog_mwh` to codegen. Entries are always > 1e-12, so a
-/// non-empty backlog sums to the same bits either way.
-#[inline]
-fn backlog_mwh(backlog: &VecDeque<(usize, f64)>) -> f64 {
-    backlog.iter().fold(0.0, |acc, &(_, e)| acc + e)
 }
 
 /// One hour of the combined heuristic, as [`combined_hours`] hands it to a
@@ -98,20 +88,25 @@ struct CombinedHour {
 struct CombinedTotals {
     deferred_mwh: f64,
     forced_mwh: f64,
-    peak_backlog_mwh: f64,
     discharged_mwh: f64,
     equivalent_cycles: f64,
 }
 
 /// The battery-first / defer-second heuristic, written once for
-/// [`combined_dispatch`] and [`combined_dispatch_stats`]: resets `battery`
-/// to full, steps every hour of `demand`/`supply` and hands it, with that
-/// hour's item of `tags`, to `sink` in hour order. Work still in the
-/// backlog at the end of the horizon is forced onto the final hour's grid
-/// draw (conservative accounting) before the sink sees that hour, so
+/// [`combined_dispatch`] and [`combined_dispatch_stats_until`]: resets
+/// `battery` to full, steps every hour of `demand`/`supply` and hands it,
+/// with that hour's item of `tags`, to `sink` in hour order. Work still in
+/// the backlog at the end of the horizon is forced onto the final hour's
+/// grid draw (conservative accounting) before the sink sees that hour, so
 /// neither wrapper patches or holds back a last hour. `tags` carries
 /// per-hour data only one sink needs (the stats fold's weight), zipped in
-/// so that sink indexes nothing.
+/// so that sink indexes nothing. The run stops at the first hour whose
+/// sink returns `Break`.
+///
+/// Every hour's grid draw is `>= 0`: the battery delivers at most the
+/// deficit (a [`BatteryModel`] delivers at most the power requested),
+/// deferral moves at most what is left of it, and the final hour adds a
+/// backlog of entries `> 1e-12`.
 ///
 /// Forced inline so each wrapper compiles the loop with its own sink in
 /// place and the stats path keeps none of the trace's per-hour work.
@@ -122,15 +117,15 @@ struct CombinedTotals {
 /// `config.window_hours` is zero.
 // ce:hot
 #[inline(always)]
-fn combined_hours<B: BatteryModel + ?Sized, T>(
+fn combined_hours<B: BatteryModel + ?Sized, T, S>(
     battery: &mut B,
     demand: &[f64],
     supply: &[f64],
     tags: impl IntoIterator<Item = T>,
     config: CombinedConfig,
     scratch: &mut CombinedScratch,
-    mut sink: impl FnMut(CombinedHour, T),
-) -> CombinedTotals {
+    mut sink: impl FnMut(CombinedHour, T) -> ControlFlow<S>,
+) -> ControlFlow<S, CombinedTotals> {
     assert!(
         (0.0..=1.0).contains(&config.flexible_ratio),
         "flexible ratio must be in [0, 1]"
@@ -144,7 +139,6 @@ fn combined_hours<B: BatteryModel + ?Sized, T>(
     let len = demand.len();
     let mut deferred_mwh = 0.0;
     let mut forced_mwh = 0.0;
-    let mut peak_backlog_mwh = 0.0f64;
     let mut discharged_mwh = 0.0;
 
     let hours = demand.iter().zip(supply).zip(tags).enumerate();
@@ -208,14 +202,14 @@ fn combined_hours<B: BatteryModel + ?Sized, T>(
             }
         }
 
-        let backlog_now = backlog_mwh(backlog);
-        peak_backlog_mwh = peak_backlog_mwh.max(backlog_now);
         if h + 1 == len {
             // End of the horizon: the leftover backlog runs on grid
-            // energy in the final hour.
-            unmet += backlog_now;
-            load += backlog_now;
-            forced_mwh += backlog_now;
+            // energy in the final hour. Folded from +0.0, so an empty
+            // backlog adds +0.0 (`Iterator::sum` would give −0.0).
+            let leftover = backlog.iter().fold(0.0, |acc, &(_, e)| acc + e);
+            unmet += leftover;
+            load += leftover;
+            forced_mwh += leftover;
         }
         sink(
             CombinedHour {
@@ -226,21 +220,20 @@ fn combined_hours<B: BatteryModel + ?Sized, T>(
                 soc: battery.soc_mwh(),
             },
             tag,
-        );
+        )?;
     }
 
     let usable = battery.usable_capacity_mwh();
-    CombinedTotals {
+    ControlFlow::Continue(CombinedTotals {
         deferred_mwh,
         forced_mwh,
-        peak_backlog_mwh,
         discharged_mwh,
         equivalent_cycles: if usable > 0.0 {
             discharged_mwh / usable
         } else {
             0.0
         },
-    }
+    })
 }
 
 /// Runs the combined heuristic over aligned `demand` and `supply` series.
@@ -269,7 +262,7 @@ pub fn combined_dispatch(
     let mut supplied = Vec::with_capacity(len);
     let mut curtailed = Vec::with_capacity(len);
     let mut soc = Vec::with_capacity(len);
-    let totals = combined_hours(
+    let ControlFlow::Continue(totals) = combined_hours(
         battery,
         demand.values(),
         supply.values(),
@@ -282,6 +275,7 @@ pub fn combined_dispatch(
             supplied.push(hour.supplied);
             curtailed.push(hour.curtailed);
             soc.push(hour.soc);
+            ControlFlow::<Infallible>::Continue(())
         },
     );
     let start = demand.start();
@@ -293,7 +287,6 @@ pub fn combined_dispatch(
         soc: HourlySeries::from_values(start, soc),
         deferred_mwh: totals.deferred_mwh,
         forced_mwh: totals.forced_mwh,
-        peak_backlog_mwh: totals.peak_backlog_mwh,
         equivalent_cycles: totals.equivalent_cycles,
     })
 }
@@ -314,8 +307,6 @@ pub struct CombinedStats {
     pub deferred_mwh: f64,
     /// Energy force-run on grid power at its SLO deadline, MWh.
     pub forced_mwh: f64,
-    /// Largest backlog of deferred work at any instant, MWh.
-    pub peak_backlog_mwh: f64,
     /// Total energy delivered by the battery over the run, MWh.
     pub total_discharged_mwh: f64,
     /// Equivalent full battery cycles performed.
@@ -352,6 +343,41 @@ pub fn combined_dispatch_stats<B: BatteryModel + ?Sized>(
     config: CombinedConfig,
     scratch: &mut CombinedScratch,
 ) -> Result<CombinedStats, TimeSeriesError> {
+    let ControlFlow::Continue(stats) =
+        combined_dispatch_stats_until(battery, demand, supply, weight, config, scratch, Never)?;
+    Ok(stats)
+}
+
+/// [`combined_dispatch_stats`] that tests `give_up` on the running
+/// weighted grid draw after every hour and stops at the first `Break`,
+/// returning it in place of the stats. With [`Never`] it is
+/// [`combined_dispatch_stats`]; a run that does not give up returns the
+/// same stats, bit for bit, whatever the rule.
+///
+/// Each hour's grid draw is `>= 0`, so with a `weight` that is `>= 0`
+/// everywhere the running sum never falls, and a
+/// [`ce_timeseries::kernels::CarbonLimit`] that fires has a final
+/// `unmet_dot` at or past its limit.
+///
+/// # Errors
+///
+/// Returns an alignment error if `demand`, `supply`, and `weight` are not
+/// mutually aligned.
+///
+/// # Panics
+///
+/// Panics if `config.flexible_ratio` is outside `[0, 1]` or
+/// `config.window_hours` is zero.
+// ce:hot
+pub fn combined_dispatch_stats_until<B: BatteryModel + ?Sized, G: GiveUp>(
+    battery: &mut B,
+    demand: &HourlySeries,
+    supply: &HourlySeries,
+    weight: &HourlySeries,
+    config: CombinedConfig,
+    scratch: &mut CombinedScratch,
+    give_up: G,
+) -> Result<ControlFlow<G::Stop, CombinedStats>, TimeSeriesError> {
     demand.check_aligned(supply)?;
     demand.check_aligned(weight)?;
     let mut unmet_mwh = 0.0;
@@ -371,9 +397,14 @@ pub fn combined_dispatch_stats<B: BatteryModel + ?Sized>(
                 covered_hours += 1;
             }
             unmet_dot += u * wh;
+            give_up.test(unmet_dot)
         },
     );
-    Ok(CombinedStats {
+    let totals = match totals {
+        ControlFlow::Continue(totals) => totals,
+        ControlFlow::Break(stop) => return Ok(ControlFlow::Break(stop)),
+    };
+    Ok(ControlFlow::Continue(CombinedStats {
         deficit: DeficitStats {
             unmet_mwh,
             covered_hours,
@@ -381,10 +412,9 @@ pub fn combined_dispatch_stats<B: BatteryModel + ?Sized>(
         unmet_dot,
         deferred_mwh: totals.deferred_mwh,
         forced_mwh: totals.forced_mwh,
-        peak_backlog_mwh: totals.peak_backlog_mwh,
         total_discharged_mwh: totals.discharged_mwh,
         equivalent_cycles: totals.equivalent_cycles,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -488,7 +518,6 @@ mod tests {
         let r = combined_dispatch(&mut battery, &demand, &supply, cfg(0.4)).unwrap();
         assert_eq!(r.deferred_mwh, 4.0);
         assert_eq!(r.forced_mwh, 4.0);
-        assert_eq!(r.peak_backlog_mwh, 4.0);
         assert_eq!(r.unmet.values(), &[9.0]);
         assert_eq!(r.effective_demand.values(), &[10.0]);
     }
@@ -557,13 +586,12 @@ mod tests {
         assert_eq!(r.forced_mwh, 0.0);
     }
 
-    #[test]
-    fn stats_match_materialized_reductions_bitwise() {
-        // Irregular demand/supply that exercises forced deadlines, partial
-        // backlog draining, battery clamping, and leftover forcing; and a
-        // single deficit hour, both the first and the last of its run,
-        // whose deferred work is forced back onto that same hour.
-        let fixtures = [
+    /// Irregular demand/supply/weight that exercises forced deadlines,
+    /// partial backlog draining, battery clamping, and leftover forcing;
+    /// and a single deficit hour, both the first and the last of its run,
+    /// whose deferred work is forced back onto that same hour.
+    fn stats_fixtures() -> [(HourlySeries, HourlySeries, HourlySeries); 2] {
+        [
             (
                 HourlySeries::from_fn(start(), 200, |h| 5.0 + ((h * 13) % 11) as f64),
                 HourlySeries::from_fn(start(), 200, |h| ((h * 29) % 23) as f64),
@@ -574,8 +602,11 @@ mod tests {
                 HourlySeries::constant(start(), 1, 1.0),
                 HourlySeries::constant(start(), 1, 0.3),
             ),
-        ];
-        let configs = [
+        ]
+    }
+
+    fn stats_configs() -> [CombinedConfig; 3] {
+        [
             cfg(0.4),
             cfg(1.0),
             CombinedConfig {
@@ -583,9 +614,13 @@ mod tests {
                 flexible_ratio: 0.6,
                 window_hours: 3,
             },
-        ];
-        for (demand, supply, weight) in &fixtures {
-            for config in configs {
+        ]
+    }
+
+    #[test]
+    fn stats_match_materialized_reductions_bitwise() {
+        for (demand, supply, weight) in &stats_fixtures() {
+            for config in stats_configs() {
                 for capacity in [0.0, 8.0, 40.0] {
                     let mut full_battery = ClcBattery::lfp(capacity, 0.9);
                     let full =
@@ -630,13 +665,77 @@ mod tests {
                     assert_eq!(stats.deferred_mwh.to_bits(), full.deferred_mwh.to_bits());
                     assert_eq!(stats.forced_mwh.to_bits(), full.forced_mwh.to_bits());
                     assert_eq!(
-                        stats.peak_backlog_mwh.to_bits(),
-                        full.peak_backlog_mwh.to_bits()
-                    );
-                    assert_eq!(
                         stats.equivalent_cycles.to_bits(),
                         full.equivalent_cycles.to_bits()
                     );
+                }
+            }
+        }
+    }
+
+    /// The stats fields by bit pattern, so that the signs of zeros count.
+    fn stats_bits(stats: &CombinedStats) -> [u64; 7] {
+        [
+            stats.deficit.unmet_mwh.to_bits(),
+            stats.deficit.covered_hours as u64,
+            stats.unmet_dot.to_bits(),
+            stats.deferred_mwh.to_bits(),
+            stats.forced_mwh.to_bits(),
+            stats.total_discharged_mwh.to_bits(),
+            stats.equivalent_cycles.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn give_up_fires_exactly_at_its_limit() {
+        use ce_timeseries::kernels::CarbonLimit;
+        let mut scratch = CombinedScratch::default();
+        for (demand, supply, weight) in &stats_fixtures() {
+            for config in stats_configs() {
+                for capacity in [0.0, 8.0, 40.0] {
+                    let mut battery = ClcBattery::lfp(capacity, 0.9);
+                    let full = combined_dispatch_stats(
+                        &mut battery,
+                        demand,
+                        supply,
+                        weight,
+                        config,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    let mut until = |offset: f64, limit: f64| {
+                        combined_dispatch_stats_until(
+                            &mut battery,
+                            demand,
+                            supply,
+                            weight,
+                            config,
+                            &mut scratch,
+                            CarbonLimit { offset, limit },
+                        )
+                        .unwrap()
+                    };
+                    for offset in [0.0, 1.0, 1234.5] {
+                        // The final sum (the leftover backlog included)
+                        // plus the offset is the lowest limit the run
+                        // reaches: there it gives up, one ulp above it
+                        // completes with the stats of a run with no limit.
+                        let reached = full.unmet_dot + offset;
+                        assert!(until(offset, reached).is_break(), "cap {capacity}");
+                        match until(offset, reached.next_up()) {
+                            ControlFlow::Continue(stats) => {
+                                assert_eq!(stats_bits(&stats), stats_bits(&full));
+                            }
+                            ControlFlow::Break(()) => panic!("gave up below its limit"),
+                        }
+                    }
+                    // A NaN offset compares false: even a limit of −∞ holds.
+                    match until(f64::NAN, f64::NEG_INFINITY) {
+                        ControlFlow::Continue(stats) => {
+                            assert_eq!(stats_bits(&stats), stats_bits(&full));
+                        }
+                        ControlFlow::Break(()) => panic!("a NaN offset gave up"),
+                    }
                 }
             }
         }

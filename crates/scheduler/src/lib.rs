@@ -45,8 +45,8 @@ pub mod tiered;
 
 pub use capacity::{additional_capacity_fraction, required_capacity_for_full_coverage};
 pub use combined::{
-    combined_dispatch, combined_dispatch_stats, CombinedConfig, CombinedResult, CombinedScratch,
-    CombinedStats,
+    combined_dispatch, combined_dispatch_stats, combined_dispatch_stats_until, CombinedConfig,
+    CombinedResult, CombinedScratch, CombinedStats,
 };
 pub use greedy::{CasConfig, CostOrder, GreedyScheduler, ScheduleResult, ScheduleScratch};
 pub use lp::lp_schedule;

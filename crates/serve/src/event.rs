@@ -9,6 +9,12 @@
 //! results back through a `Mutex<VecDeque>` of [`Completion`]s plus a
 //! loopback-socket [`Waker`], the only cross-thread traffic.
 //!
+//! Shard 0 alone polls the listener. It places the `k`-th admitted
+//! connection on shard `k mod N`: its own it registers at once, any other
+//! shard's it hands over as a [`Completion::Accepted`] through that
+//! shard's mailbox and waker. Placement is a function of accept order,
+//! never of which thread wakes first.
+//!
 //! # Connection state machine
 //!
 //! ```text
@@ -116,6 +122,8 @@ pub(crate) enum Completion {
         /// so, an error can only be reported by truncating the stream.
         streamed: bool,
     },
+    /// A connection the listening shard placed on this one.
+    Accepted(TcpStream),
 }
 
 /// One connection's state.
@@ -290,7 +298,7 @@ fn kind_endpoint(target: Target) -> Option<(ComputeKind, Endpoint)> {
 pub(crate) fn event_loop(
     shared: Arc<Shared>,
     shard_index: usize,
-    listener: TcpListener,
+    listener: Option<TcpListener>,
     waker_rx: TcpStream,
 ) {
     let Some(shard) = shared.shards.get(shard_index).map(Arc::clone) else {
@@ -301,7 +309,9 @@ pub(crate) fn event_loop(
     let mut lp = Loop {
         shared,
         shard,
-        listener: Some(listener),
+        index: shard_index,
+        next_shard: 0,
+        listener,
         waker_rx,
         slab: Slab::new(),
         inflight: BTreeMap::new(),
@@ -318,6 +328,11 @@ pub(crate) fn event_loop(
 struct Loop {
     shared: Arc<Shared>,
     shard: Arc<ShardShared>,
+    /// This shard's index in `shared.shards`.
+    index: usize,
+    /// Where the listening shard places its next connection.
+    next_shard: usize,
+    /// The listener, on the one shard that polls it.
     listener: Option<TcpListener>,
     waker_rx: TcpStream,
     slab: Slab,
@@ -342,8 +357,8 @@ impl Loop {
             // ce:ordering(acquire pairs with stop's release swap, making pre-shutdown writes visible)
             let shutting_down = self.shared.shutdown.load(Ordering::Acquire);
             if shutting_down {
-                // Stop accepting (dropping the clone releases the port
-                // once every shard has) and drain what remains.
+                // Stop accepting (dropping the listener releases the
+                // port) and drain what remains.
                 self.listener = None;
                 let deadline = *self
                     .shutdown_deadline
@@ -469,6 +484,7 @@ impl Loop {
                     body,
                     streamed,
                 } => self.on_done(&key, status, body, streamed, now),
+                Completion::Accepted(stream) => self.register(stream, now),
             }
         }
         // Resume parsing (pipelined requests may be buffered behind the
@@ -615,19 +631,39 @@ impl Loop {
                     }
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    self.slab.insert(stream, now);
-                    // ce:ordering(monotone telemetry counter; readers tolerate skew)
-                    self.shard.stats.accepts.fetch_add(1, Ordering::Relaxed);
-                    // ce:ordering(per-shard stats gauge; staleness is acceptable)
-                    self.shard
-                        .connections
-                        .store(self.slab.occupied() as u64, Ordering::Relaxed);
+                    self.place(stream, now);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             }
         }
+    }
+
+    /// Places an admitted connection on the next shard in turn: this
+    /// shard registers its own, and hands any other shard's over through
+    /// that shard's mailbox, pushed before its waker fires.
+    fn place(&mut self, stream: TcpStream, now: Instant) {
+        let target = self.next_shard;
+        self.next_shard = (target + 1) % self.shared.shards.len().max(1);
+        match self.shared.shards.get(target) {
+            Some(shard) if target != self.index => {
+                // ce:allow(blocking, reason = "one push_back under a mailbox lock its owner holds for one pop_front, then one byte to a nonblocking waker socket")
+                shard.push_completion(Completion::Accepted(stream));
+            }
+            _ => self.register(stream, now),
+        }
+    }
+
+    /// Takes ownership of a connection placed on this shard.
+    fn register(&mut self, stream: TcpStream, now: Instant) {
+        self.slab.insert(stream, now);
+        // ce:ordering(monotone telemetry counter; readers tolerate skew)
+        self.shard.stats.accepts.fetch_add(1, Ordering::Relaxed);
+        // ce:ordering(per-shard stats gauge; staleness is acceptable)
+        self.shard
+            .connections
+            .store(self.slab.occupied() as u64, Ordering::Relaxed);
     }
 
     fn handle_readable(&mut self, slot: usize, now: Instant) {

@@ -3,8 +3,9 @@
 //! # Architecture
 //!
 //! ```text
-//!                       shared nonblocking TcpListener
-//!                      ╱            │                ╲
+//!            nonblocking TcpListener, polled by shard 0 alone
+//!                       │ connection k → shard k mod N (others
+//!                       ▼ handed over through their completion queue)
 //!            shard 0 event loop   shard 1 …    shard N-1   (one thread
 //!            ┌─────────────────────────────┐               each; see
 //!            │ poll(2) readiness loop      │               [`crate::event`])
@@ -20,7 +21,10 @@
 //!
 //! Each shard's event loop exclusively owns its connections, response
 //! cache, raw-request memo, and in-flight map — the hot path takes no
-//! locks. Workers are pinned to shards (at least one each) and hand
+//! locks. Shard 0 alone accepts: it places the `k`-th admitted connection
+//! on shard `k mod N`, handing the others over through their completion
+//! queues, so which shard (and which cache) serves a connection follows
+//! accept order. Workers are pinned to shards (at least one each) and hand
 //! results back through the shard's completion queue plus waker socket.
 //!
 //! # Determinism
@@ -248,18 +252,17 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
             std::thread::spawn(move || worker_loop(&shared, i % shards))
         })
         .collect();
+    // Shard 0 alone polls the listener and places every connection.
+    let mut listener = Some(listener);
     let event_threads = waker_rxs
         .into_iter()
         .enumerate()
         .map(|(index, rx)| {
             let shared = Arc::clone(&shared);
-            let listener = listener.try_clone()?;
-            Ok(std::thread::spawn(move || {
-                event_loop(shared, index, listener, rx)
-            }))
+            let listener = listener.take();
+            std::thread::spawn(move || event_loop(shared, index, listener, rx))
         })
-        .collect::<io::Result<Vec<_>>>()?;
-    drop(listener); // shards hold their own clones; the last one out unbinds
+        .collect();
     Ok(ServerHandle {
         addr,
         shared,
@@ -303,6 +306,15 @@ impl ServerHandle {
         }
         for handle in self.event_threads.drain(..) {
             let _ = handle.join();
+        }
+        // A connection handed to a shard that had already stopped is
+        // still in its mailbox: dropping it closes it.
+        for shard in &self.shared.shards {
+            shard
+                .completions
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear();
         }
     }
 }

@@ -496,6 +496,65 @@ fn full_queue_sheds_with_429_while_healthz_stays_responsive() {
     handle.shutdown();
 }
 
+/// Sends `GET path` on a keep-alive connection and returns the body of
+/// the `content-length` response.
+fn get_keep_alive(stream: &mut TcpStream, path: &str) -> String {
+    let request = format!("GET {path} HTTP/1.1\r\nhost: t\r\n\r\n");
+    stream.write_all(request.as_bytes()).expect("send request");
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let n = stream.read(&mut chunk).expect("read response");
+        assert_ne!(n, 0, "connection closed early");
+        raw.extend_from_slice(&chunk[..n]);
+        let text = String::from_utf8_lossy(&raw);
+        if let Some((head, body)) = text.split_once("\r\n\r\n") {
+            let len: usize = head
+                .split("\r\n")
+                .filter_map(|l| l.split_once(':'))
+                .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
+                .and_then(|(_, v)| v.trim().parse().ok())
+                .expect("content-length");
+            if body.len() >= len {
+                return body[..len].to_string();
+            }
+        }
+    }
+}
+
+/// Shard 0 places the `k`-th connection on shard `k mod N`, so `N·m`
+/// open connections sit `m` to a shard, whichever event loop wakes first.
+#[test]
+fn connections_are_placed_round_robin_in_accept_order() {
+    let (shards, per_shard) = (3, 4);
+    let handle = start(ServerConfig {
+        event_shards: shards,
+        workers: shards,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let mut conns: Vec<TcpStream> = (0..shards * per_shard)
+        .map(|_| TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+    // An answer on every connection: each is registered with its shard.
+    for conn in &mut conns {
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        assert_eq!(get_keep_alive(conn, "/healthz"), "{\"status\":\"ok\"}");
+    }
+    let stats = Json::parse(&get_keep_alive(&mut conns[0], "/stats")).expect("stats JSON");
+    let Some(Json::Arr(items)) = stats.get("shards") else {
+        panic!("shards array missing");
+    };
+    let counts: Vec<f64> = items
+        .iter()
+        .map(|s| s.get("connections").and_then(Json::as_f64).expect("gauge"))
+        .collect();
+    assert_eq!(counts, vec![per_shard as f64; shards], "{stats:?}");
+    drop(conns);
+    handle.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_in_flight_work_then_refuses_connections() {
     let config = ServerConfig {

@@ -48,10 +48,69 @@
 
 use crate::series::HourlySeries;
 use crate::TimeSeriesError;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 /// Covered-hour threshold shared with coverage accounting: an hour whose
 /// clamped deficit is at most this many MWh counts as fully covered.
 pub const COVERED_EPSILON_MWH: f64 = 1e-9;
+
+/// When an hour-by-hour dispatch may stop before its last hour. The
+/// streamed dispatch kernels (`ce_battery::simulate_dispatch_stats_until`,
+/// `ce_scheduler::combined_dispatch_stats_until`) test their running
+/// weighted grid draw `Σ unmet[h] · weight[h]` after every hour and stop
+/// on `Break`.
+///
+/// The rule is a type, not a value, because the test sits in a year-long
+/// hour loop: [`Never`]'s test is a constant, so that loop compiles as if
+/// there were no test, and its caller gets the full result back with no
+/// `Option` to unwrap.
+pub trait GiveUp: Copy {
+    /// What a dispatch that gave up returns: [`Infallible`] for [`Never`].
+    type Stop;
+    /// `Break` once the running weighted sum `dot` decides the outcome.
+    fn test(self, dot: f64) -> ControlFlow<Self::Stop>;
+}
+
+/// The rule that never gives up: the dispatch runs every hour.
+#[derive(Debug, Clone, Copy)]
+pub struct Never;
+
+impl GiveUp for Never {
+    type Stop = Infallible;
+
+    #[inline(always)]
+    fn test(self, _dot: f64) -> ControlFlow<Infallible> {
+        ControlFlow::Continue(())
+    }
+}
+
+/// Gives up once `fl(dot + offset) >= limit`. When every hourly term of
+/// the sum is `>= 0`, adding one never lowers the sum, so the final sum
+/// is `>=` each partial one and a run that gave up would have ended with
+/// `fl(final + offset) >= limit` as well. A NaN sum, offset or limit
+/// compares false: the run never gives up.
+#[derive(Debug, Clone, Copy)]
+pub struct CarbonLimit {
+    /// Added to the running sum before the comparison (e.g. a lower bound
+    /// on the rest of a design's total carbon), tons.
+    pub offset: f64,
+    /// The value that `fl(dot + offset)` must stay below, tons.
+    pub limit: f64,
+}
+
+impl GiveUp for CarbonLimit {
+    type Stop = ();
+
+    #[inline(always)]
+    fn test(self, dot: f64) -> ControlFlow<()> {
+        if dot + self.offset >= self.limit {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
 
 /// Number of independent accumulator lanes in the chunked reduction
 /// kernels (see the [module docs](self) for the full reduction order).

@@ -296,22 +296,31 @@ fn streamed_explore_chunks_concatenate_to_the_buffered_encoding() {
 
 #[test]
 fn optimal_search_is_bitwise_identical_over_http() {
-    let body = r#"{"ba":"ERCO","demand_mw":10,"strategy":"renewables_only",
-        "space":{"solar":[0,200,6],"wind":[0,200,6]},"refine_rounds":2}"#;
-    let reference = direct_bytes(ComputeKind::Optimal, body);
-    assert!(reference.contains("\"found\":true"), "{reference}");
-
+    // Renewables-only scores every point it does not prune in full; the
+    // battery + CAS search also gives up on points mid-dispatch, on the
+    // server's one serial lane as on the library's parallel ones.
+    let bodies = [
+        r#"{"ba":"ERCO","demand_mw":10,"strategy":"renewables_only",
+            "space":{"solar":[0,200,6],"wind":[0,200,6]},"refine_rounds":2}"#,
+        r#"{"ba":"ERCO","demand_mw":10,"strategy":"renewables_battery_cas",
+            "space":{"solar":[0,200,4],"wind":[0,200,4],"battery":[0,120,4],
+            "extra_capacity":[0,0.5,3]},"refine_rounds":2}"#,
+    ];
     let handle = start(ServerConfig::default()).expect("bind");
-    let (status, note, fresh) = post(handle.addr(), "/optimal", body);
-    assert_eq!(status, 200, "{fresh}");
-    assert_eq!(note.as_deref(), Some("miss"));
-    assert_eq!(fresh, reference, "optimal search differs from library");
+    for body in bodies {
+        let reference = direct_bytes(ComputeKind::Optimal, body);
+        assert!(reference.contains("\"found\":true"), "{reference}");
 
-    let (status, note, cached) = post(handle.addr(), "/optimal", body);
-    assert_eq!(status, 200);
-    assert_eq!(note.as_deref(), Some("hit"));
-    assert_eq!(cached, reference);
+        let (status, note, fresh) = post(handle.addr(), "/optimal", body);
+        assert_eq!(status, 200, "{fresh}");
+        assert_eq!(note.as_deref(), Some("miss"));
+        assert_eq!(fresh, reference, "optimal search differs from library");
 
+        let (status, note, cached) = post(handle.addr(), "/optimal", body);
+        assert_eq!(status, 200);
+        assert_eq!(note.as_deref(), Some("hit"));
+        assert_eq!(cached, reference);
+    }
     handle.shutdown();
 }
 
