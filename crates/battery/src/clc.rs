@@ -152,22 +152,33 @@ impl BatteryModel for ClcBattery {
         if power_mw <= 0.0 || self.params.capacity_mwh == 0.0 {
             return 0.0;
         }
-        // Power limit (C-rate), then headroom limit accounting for the
-        // charge efficiency: drawing E from the source stores eta_c * E.
-        let rate_cap = self.params.charge_c_rate * self.params.capacity_mwh;
+        let efficiency = self.params.charge_efficiency;
+        // The request, capped at the C-rate, does not depend on the state
+        // of charge, so in the common hour `want · eta_c` is computed off
+        // the state-of-charge dependency chain.
+        let want = power_mw.min(self.params.charge_c_rate * self.params.capacity_mwh);
         let headroom = self.params.capacity_mwh - self.soc_mwh;
         if headroom <= 0.0 {
-            // Pegged full: the general path would compute
-            // `min(power, rate_cap, 0.0) = 0.0` and leave the state
-            // untouched. Returning early skips the division below — the
-            // dominant latency on the state-of-charge dependency chain in
-            // year-long dispatch loops, where full batteries are the
-            // common case during surplus seasons.
+            // Pegged full: the general path would accept nothing and
+            // leave the state untouched.
             return 0.0;
         }
-        let draw_cap = headroom / self.params.charge_efficiency;
-        let accepted = power_mw.min(rate_cap).min(draw_cap);
-        self.soc_mwh += accepted * self.params.charge_efficiency;
+        // Headroom limit: drawing E from the source stores eta_c · E. It
+        // binds only in the hour the battery fills, so it is picked on a
+        // predicted branch, which keeps the division off the chain, rather
+        // than by `f64::min`, which would wait for it every hour. The
+        // branch returns what `want.min(draw_cap)` returns: `want` is never
+        // NaN (checked parameters make the C-rate cap a non-NaN product), a
+        // NaN `draw_cap` loses the test, and any other `draw_cap` is `> 0`
+        // here, so no tie between zeros of either sign arises.
+        let draw_cap = headroom / efficiency;
+        let accepted = if draw_cap < want {
+            std::hint::cold_path();
+            draw_cap
+        } else {
+            want
+        };
+        self.soc_mwh += accepted * efficiency;
         // Guard against fp drift.
         self.soc_mwh = self.soc_mwh.min(self.params.capacity_mwh);
         accepted
@@ -179,23 +190,34 @@ impl BatteryModel for ClcBattery {
         if power_mw <= 0.0 || self.params.capacity_mwh == 0.0 {
             return 0.0;
         }
-        // Delivering E to the load drains E / eta_d of content.
-        let rate_cap = self.params.discharge_c_rate * self.params.capacity_mwh;
-        let available = (self.soc_mwh - self.min_soc_mwh()).max(0.0);
+        let efficiency = self.params.discharge_efficiency;
+        // As in `charge`: the C-rate-capped request, and in the common
+        // hour its drain `want / eta_d`, stay off the state-of-charge chain.
+        let want = power_mw.min(self.params.discharge_c_rate * self.params.capacity_mwh);
+        let min_soc = self.min_soc_mwh();
+        let available = (self.soc_mwh - min_soc).max(0.0);
         if available <= 0.0 {
-            // Pegged empty: the general path delivers exactly 0.0 and
-            // leaves the state untouched; returning early skips the
-            // `delivered / efficiency` division, the common case during
-            // sustained deficit streaks.
+            // Pegged empty: the general path would deliver nothing and
+            // leave the state untouched.
             return 0.0;
         }
-        let deliver_cap = available * self.params.discharge_efficiency;
-        let delivered = power_mw.min(rate_cap).min(deliver_cap);
-        self.soc_mwh -= delivered / self.params.discharge_efficiency;
-        self.soc_mwh = self.soc_mwh.max(self.min_soc_mwh());
+        // Content limit: delivering E to the load drains E / eta_d. It
+        // binds only in the hour the battery empties; picked on a branch
+        // for the reasons given in `charge` (here `deliver_cap >= +0.0`,
+        // and a tie between two +0.0s returns the same bits either way).
+        let deliver_cap = available * efficiency;
+        let delivered = if deliver_cap < want {
+            std::hint::cold_path();
+            deliver_cap
+        } else {
+            want
+        };
+        self.soc_mwh -= delivered / efficiency;
+        self.soc_mwh = self.soc_mwh.max(min_soc);
         delivered
     }
 
+    #[inline]
     fn reset(&mut self, fraction: f64) {
         let target = self.params.capacity_mwh * fraction.clamp(0.0, 1.0);
         self.soc_mwh = target.clamp(self.min_soc_mwh(), self.params.capacity_mwh);
@@ -205,6 +227,110 @@ impl BatteryModel for ClcBattery {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The steps with both limits taken by `f64::min`, the plainest form
+    /// of the model: the oracle that [`ClcBattery::charge`] and
+    /// [`ClcBattery::discharge`], which pick the state limit on a branch,
+    /// must match bit for bit.
+    impl ClcBattery {
+        fn reference_charge(&mut self, power_mw: f64) -> f64 {
+            if power_mw <= 0.0 || self.params.capacity_mwh == 0.0 {
+                return 0.0;
+            }
+            // Power limit (C-rate), then headroom limit accounting for the
+            // charge efficiency: drawing E from the source stores eta_c * E.
+            let rate_cap = self.params.charge_c_rate * self.params.capacity_mwh;
+            let headroom = self.params.capacity_mwh - self.soc_mwh;
+            if headroom <= 0.0 {
+                return 0.0;
+            }
+            let draw_cap = headroom / self.params.charge_efficiency;
+            let accepted = power_mw.min(rate_cap).min(draw_cap);
+            self.soc_mwh += accepted * self.params.charge_efficiency;
+            // Guard against fp drift.
+            self.soc_mwh = self.soc_mwh.min(self.params.capacity_mwh);
+            accepted
+        }
+
+        fn reference_discharge(&mut self, power_mw: f64) -> f64 {
+            if power_mw <= 0.0 || self.params.capacity_mwh == 0.0 {
+                return 0.0;
+            }
+            // Delivering E to the load drains E / eta_d of content.
+            let rate_cap = self.params.discharge_c_rate * self.params.capacity_mwh;
+            let available = (self.soc_mwh - self.min_soc_mwh()).max(0.0);
+            if available <= 0.0 {
+                return 0.0;
+            }
+            let deliver_cap = available * self.params.discharge_efficiency;
+            let delivered = power_mw.min(rate_cap).min(deliver_cap);
+            self.soc_mwh -= delivered / self.params.discharge_efficiency;
+            self.soc_mwh = self.soc_mwh.max(self.min_soc_mwh());
+            delivered
+        }
+    }
+
+    /// Year-like runs reach the limit branch only in the hours a battery
+    /// fills or empties, so this pins the cases where a branch and
+    /// `f64::min` could part: NaN operands, ties, zeros of both signs,
+    /// subnormals, infinities and the ulps around each limit.
+    #[test]
+    fn steps_match_the_min_reference_bitwise() {
+        type Step = fn(&mut ClcBattery, f64) -> f64;
+        let directions: [(&str, Step, Step); 2] = [
+            ("charge", ClcBattery::charge, ClcBattery::reference_charge),
+            (
+                "discharge",
+                ClcBattery::discharge,
+                ClcBattery::reference_discharge,
+            ),
+        ];
+        let presets: [fn(f64, f64) -> ClcParams; 2] = [ClcParams::lfp, ClcParams::sodium_ion];
+        let mut cases = 0usize;
+        for preset in presets {
+            for capacity in [0.0, 1e-300, 30.0, 1e300] {
+                for dod in [1.0, 0.6] {
+                    let params = preset(capacity, dod);
+                    let floor = ClcBattery::new(params).min_soc_mwh();
+                    // At the floor and the cap, one ulp inside each, and
+                    // NaN, which `reset(f64::NAN)` leaves behind.
+                    let socs = [
+                        floor,
+                        floor.next_up(),
+                        capacity.next_down(),
+                        capacity,
+                        f64::NAN,
+                    ];
+                    let mut requests =
+                        vec![-0.0, 0.0, f64::from_bits(1), 1e300, f64::INFINITY, f64::NAN];
+                    for rate_cap in [
+                        params.charge_c_rate * capacity,
+                        params.discharge_c_rate * capacity,
+                    ] {
+                        requests.extend([rate_cap.next_down(), rate_cap, rate_cap.next_up()]);
+                    }
+                    for soc_mwh in socs {
+                        for &power in &requests {
+                            for (name, step, reference) in directions {
+                                let run = |step: Step| {
+                                    let mut b = ClcBattery { params, soc_mwh };
+                                    let out = step(&mut b, power);
+                                    (out.to_bits(), b.soc_mwh.to_bits())
+                                };
+                                assert_eq!(
+                                    run(step),
+                                    run(reference),
+                                    "{name}({power:e}) at SoC {soc_mwh:e} of {params:?}"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 4 * 2 * 5 * 12 * 2);
+    }
 
     #[test]
     fn charging_respects_efficiency() {

@@ -869,10 +869,14 @@ mod tests {
     use ce_datacenter::Fleet;
     use ce_grid::BalancingAuthority;
 
-    fn utah_explorer() -> CarbonExplorer {
-        let site = Fleet::meta_us().site("UT").unwrap().clone();
+    fn site_explorer(state: &str) -> CarbonExplorer {
+        let site = Fleet::meta_us().site(state).unwrap().clone();
         let grid = GridDataset::synthesize(site.ba(), 2020, 7);
         CarbonExplorer::new(site.demand_trace(2020, 7), grid)
+    }
+
+    fn utah_explorer() -> CarbonExplorer {
+        site_explorer("UT")
     }
 
     #[test]
@@ -1099,56 +1103,74 @@ mod tests {
         }
     }
 
-    /// A ceiling one ulp above the optimum's total leaves the optimum
-    /// strictly below it, so `search` must still return it, bit for bit.
-    /// Where the zero-cycle bound is the optimum's exact embodied carbon,
-    /// a dispatch give-up that fires even one part in 10^12 below its
-    /// limit loses it. The grid is `pruned_search.rs`'s 5 × 3 groups; NC's
-    /// all-zero wind makes ties for the lanes to break.
-    #[test]
-    fn search_keeps_an_optimum_one_ulp_below_its_ceiling() {
+    /// Searches every strategy under a ceiling one ulp above its optimum's
+    /// total, which leaves the optimum strictly below it, so `search` must
+    /// still return it, bit for bit, with one lane and with the default
+    /// lanes. The grid is `pruned_search.rs`'s 5 × 3 groups.
+    fn assert_search_keeps_the_optimum_below_a_ceiling(explorer: &CarbonExplorer, label: &str) {
         let space = DesignSpace {
             solar: (30.0, 630.0, 5),
             wind: (10.0, 410.0, 3),
             battery: (0.0, 270.0, 4),
             extra_capacity: (0.0, 0.9, 3),
         };
-        for state in ["UT", "NC"] {
-            let site = Fleet::meta_us().site(state).unwrap().clone();
-            let grid = GridDataset::synthesize(site.ba(), 2020, 7);
-            let explorer = CarbonExplorer::new(site.demand_trace(2020, 7), grid);
-            for strategy in StrategyKind::ALL {
-                // The first minimum in sweep order: the serial strictly-less fold.
-                let optimum = explorer
-                    .explore(strategy, &space)
-                    .into_iter()
-                    .reduce(|best, e| {
-                        if e.total_tons() < best.total_tons() {
-                            e
-                        } else {
-                            best
-                        }
-                    })
-                    .unwrap();
-                let ceiling = Some(optimum.total_tons().next_up());
-                let parallel = explorer.search(strategy, &space, ceiling);
-                let serial = ce_parallel::run_serial(|| explorer.search(strategy, &space, ceiling));
-                for (found, lanes) in [(parallel, "parallel"), (serial, "serial")] {
-                    let found = found.unwrap_or_else(|| panic!("{state} {strategy} {lanes}: lost"));
-                    assert_eq!(found.design, optimum.design, "{state} {strategy} {lanes}");
-                    for ((name, a), (_, b)) in found
-                        .canonical_fields()
-                        .iter()
-                        .zip(optimum.canonical_fields())
-                    {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{state} {strategy} {lanes}: {name}"
-                        );
+        for strategy in StrategyKind::ALL {
+            // The first minimum in sweep order: the serial strictly-less fold.
+            let optimum = explorer
+                .explore(strategy, &space)
+                .into_iter()
+                .reduce(|best, e| {
+                    if e.total_tons() < best.total_tons() {
+                        e
+                    } else {
+                        best
                     }
+                })
+                .unwrap();
+            let ceiling = Some(optimum.total_tons().next_up());
+            let parallel = explorer.search(strategy, &space, ceiling);
+            let serial = ce_parallel::run_serial(|| explorer.search(strategy, &space, ceiling));
+            for (found, lanes) in [(parallel, "parallel"), (serial, "serial")] {
+                let found = found.unwrap_or_else(|| panic!("{label} {strategy} {lanes}: lost"));
+                assert_eq!(found.design, optimum.design, "{label} {strategy} {lanes}");
+                for ((name, a), (_, b)) in found
+                    .canonical_fields()
+                    .iter()
+                    .zip(optimum.canonical_fields())
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{label} {strategy} {lanes}: {name}"
+                    );
                 }
             }
+        }
+    }
+
+    /// Where the zero-cycle bound is the optimum's exact embodied carbon, a
+    /// dispatch give-up that fires even one part in 10^12 below its limit
+    /// loses the optimum. NC's all-zero wind makes ties for the lanes to
+    /// break.
+    #[test]
+    fn search_keeps_an_optimum_one_ulp_below_its_ceiling() {
+        for state in ["UT", "NC"] {
+            assert_search_keeps_the_optimum_below_a_ceiling(&site_explorer(state), state);
+        }
+    }
+
+    /// With an all-zero grid intensity, operational carbon is 0 and every
+    /// total is embodied carbon, so the bound of a renewables-only or CAS
+    /// point, which amortizes no battery, is exactly its total. A prune
+    /// that skips a point whose bound is even one part in 10^12 below its
+    /// limit then loses the optimum.
+    #[test]
+    fn search_keeps_an_embodied_only_optimum_one_ulp_below_its_ceiling() {
+        for state in ["UT", "NC"] {
+            let mut explorer = site_explorer(state);
+            explorer.grid_intensity =
+                HourlySeries::zeros(explorer.demand.start(), explorer.demand.len());
+            assert_search_keeps_the_optimum_below_a_ceiling(&explorer, state);
         }
     }
 

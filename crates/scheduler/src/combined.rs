@@ -16,7 +16,6 @@ use ce_battery::BatteryModel;
 use ce_timeseries::kernels::{GiveUp, Never, COVERED_EPSILON_MWH};
 use ce_timeseries::{DeficitStats, HourlySeries, TimeSeriesError};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::iter;
 use std::ops::ControlFlow;
@@ -63,12 +62,14 @@ pub struct CombinedResult {
     pub equivalent_cycles: f64,
 }
 
-/// Reusable state for [`combined_dispatch_stats`]: the deferred-work
-/// backlog queue, kept warm across calls so the sweep hot path performs no
-/// heap allocation once the queue has grown to its working size.
+/// Reusable state for [`combined_dispatch_stats`]: the fixed ring that
+/// holds the deferred-work backlog. Each run sizes it to
+/// `min(window_hours, hours)` slots, the most jobs that can be waiting at
+/// once, so a scratch reused across calls allocates only when a run needs
+/// more slots than every run before it.
 #[derive(Debug, Clone, Default)]
 pub struct CombinedScratch {
-    backlog: VecDeque<(usize, f64)>,
+    ring: Vec<(usize, f64)>,
 }
 
 /// One hour of the combined heuristic, as [`combined_hours`] hands it to a
@@ -132,11 +133,30 @@ fn combined_hours<B: BatteryModel + ?Sized, T, S>(
     );
     assert!(config.window_hours > 0, "window must be at least one hour");
     battery.reset(1.0);
-    // FIFO of (deadline_hour, energy_mwh) deferred jobs.
-    let backlog = &mut scratch.backlog;
-    backlog.clear();
-
     let len = demand.len();
+    // FIFO of (deadline_hour, energy_mwh) deferred jobs: `live` entries of
+    // `ring` from slot `head` on, wrapping. A job deferred at hour `h` is
+    // due at `h + window_hours`, and every due job is forced before an
+    // hour defers its own, so at most `min(window_hours, len)` are live at
+    // once and a ring of that many slots never overflows. Head and length
+    // live in locals, and slots are reached through `get`/`get_mut` with
+    // wrapping index arithmetic, so the hour loop calls nothing and has no
+    // panic path.
+    let slots = config.window_hours.min(len);
+    let ring = &mut scratch.ring;
+    ring.clear();
+    ring.resize(slots, (0, 0.0));
+    let ring = ring.as_mut_slice();
+    let wrap = |slot: usize| {
+        if slot >= slots {
+            slot.wrapping_sub(slots)
+        } else {
+            slot
+        }
+    };
+    let mut head = 0usize;
+    let mut live = 0usize;
+
     let mut deferred_mwh = 0.0;
     let mut forced_mwh = 0.0;
     let mut discharged_mwh = 0.0;
@@ -150,31 +170,38 @@ fn combined_hours<B: BatteryModel + ?Sized, T, S>(
 
         // SLO enforcement: any deferred work whose deadline is this hour
         // must run now, whatever the energy source.
-        while let Some(&(deadline, energy)) = backlog.front() {
-            if deadline <= h {
-                backlog.pop_front();
-                load += energy;
-                forced_mwh += energy;
-            } else {
+        while live > 0 {
+            let Some(&(deadline, energy)) = ring.get(head) else {
+                break;
+            };
+            if deadline > h {
                 break;
             }
+            head = wrap(head.wrapping_add(1));
+            live = live.wrapping_sub(1);
+            load += energy;
+            forced_mwh += energy;
         }
 
         if s >= load {
             // Surplus: run deferred work first, newest-deadline last.
             let mut surplus = s - load;
             let mut headroom = (config.max_capacity_mw - load).max(0.0);
-            while surplus > 1e-12 && headroom > 1e-12 {
-                let Some((deadline, energy)) = backlog.pop_front() else {
+            while surplus > 1e-12 && headroom > 1e-12 && live > 0 {
+                let Some((_, energy)) = ring.get_mut(head) else {
                     break;
                 };
                 let run = energy.min(surplus).min(headroom);
                 load += run;
                 surplus -= run;
                 headroom -= run;
-                let remainder = energy - run;
+                let remainder = *energy - run;
                 if remainder > 1e-12 {
-                    backlog.push_front((deadline, remainder));
+                    // The job stays at the front with what is left of it.
+                    *energy = remainder;
+                } else {
+                    head = wrap(head.wrapping_add(1));
+                    live = live.wrapping_sub(1);
                 }
             }
             // Then charge the battery; curtail the rest.
@@ -193,7 +220,13 @@ fn combined_hours<B: BatteryModel + ?Sized, T, S>(
                 // has already exhausted its window).
                 let deferrable = (d * config.flexible_ratio).min(deficit);
                 if deferrable > 1e-12 {
-                    backlog.push_back((h + config.window_hours, deferrable));
+                    // A window past the horizon saturates: the job is
+                    // never due, as with a window of `len`.
+                    let deadline = h.saturating_add(config.window_hours);
+                    if let Some(slot) = ring.get_mut(wrap(head.wrapping_add(live))) {
+                        *slot = (deadline, deferrable);
+                        live = live.wrapping_add(1);
+                    }
                     deferred_mwh += deferrable;
                     load -= deferrable;
                     deficit -= deferrable;
@@ -204,9 +237,17 @@ fn combined_hours<B: BatteryModel + ?Sized, T, S>(
 
         if h + 1 == len {
             // End of the horizon: the leftover backlog runs on grid
-            // energy in the final hour. Folded from +0.0, so an empty
-            // backlog adds +0.0 (`Iterator::sum` would give −0.0).
-            let leftover = backlog.iter().fold(0.0, |acc, &(_, e)| acc + e);
+            // energy in the final hour, summed front to back. Folded from
+            // +0.0, so an empty backlog adds +0.0 (`Iterator::sum` would
+            // give −0.0).
+            let mut leftover = 0.0;
+            let mut slot = head;
+            for _ in 0..live {
+                if let Some(&(_, energy)) = ring.get(slot) {
+                    leftover += energy;
+                }
+                slot = wrap(slot.wrapping_add(1));
+            }
             unmet += leftover;
             load += leftover;
             forced_mwh += leftover;
@@ -319,7 +360,7 @@ pub struct CombinedStats {
 /// reductions of [`combined_dispatch`]'s `unmet` series (end-of-horizon
 /// backlog included), bit for bit, and the deferral/cycle accounting
 /// matches field for field. The only state beyond scalars is the
-/// deferred-work queue, which lives in the caller-owned `scratch`.
+/// deferred-work ring, which lives in the caller-owned `scratch`.
 ///
 /// The function is generic so concrete battery models are monomorphized
 /// (no virtual dispatch in the inner loop); `&mut dyn BatteryModel` still
@@ -605,16 +646,17 @@ mod tests {
         ]
     }
 
-    fn stats_configs() -> [CombinedConfig; 3] {
-        [
-            cfg(0.4),
-            cfg(1.0),
-            CombinedConfig {
-                max_capacity_mw: 12.0,
-                flexible_ratio: 0.6,
-                window_hours: 3,
-            },
-        ]
+    /// Windows of 24 and 3 hours, one hour (each job is due the next
+    /// hour, so the backlog ring has a single slot) and one at least as
+    /// long as every fixture (nothing is due before the final hour forces
+    /// it).
+    fn stats_configs() -> [CombinedConfig; 5] {
+        let tight = |window_hours| CombinedConfig {
+            max_capacity_mw: 12.0,
+            flexible_ratio: 0.6,
+            window_hours,
+        };
+        [cfg(0.4), cfg(1.0), tight(3), tight(1), tight(200)]
     }
 
     #[test]
@@ -684,6 +726,118 @@ mod tests {
             stats.total_discharged_mwh.to_bits(),
             stats.equivalent_cycles.to_bits(),
         ]
+    }
+
+    /// [`stats_bits`] of every fixture × config × capacity (0, 8, 40 MWh)
+    /// in loop order, as computed by the kernel whose backlog was a
+    /// `VecDeque` (commit 148478f). The two wrappers share the backlog
+    /// ring, so comparing them with each other cannot see a ring bug; these
+    /// pins can.
+    #[rustfmt::skip]
+    const PINNED_STATS_BITS: [[u64; 7]; 30] = [
+        // 200 irregular hours, cfg(0.4): capacity 0, 8, 40
+        [0x4069866666666666, 143, 0x4055edd2f1a9fbe6, 0x40746cccccccccce, 0, 0, 0],
+        [0x4046679c5041dca6, 177, 0x4032037b1edaf743, 0x406c4de6948eb6ca, 0, 0x40703c192bb06907, 0x404209e314195841],
+        [0, 200, 0, 0, 0, 0x4080980000000000, 0x402d800000000000],
+        // 200 irregular hours, cfg(1.0): capacity 0, 8, 40
+        [0, 200, 0, 0x4080980000000000, 0, 0, 0],
+        [0, 200, 0, 0x4073171f0dff1e09, 0, 0x406c31c1e401c3f0, 0x403f53bafd574b7c],
+        [0, 200, 0, 0, 0, 0x4080980000000000, 0x402d800000000000],
+        // 200 irregular hours, tight(3): capacity 0, 8, 40
+        [0x4069333333333333, 151, 0x40548353f7ced916, 0x407cb00000000000, 0x4070533333333332, 0, 0],
+        [0x4039efcc7805070a, 190, 0x402250f4db3cf9b5, 0x4071b374b39ced38, 0x405d079718b86d1e, 0x4071f90d15e2597b, 0x4043f8476da62a89],
+        [0, 200, 0, 0, 0, 0x4080980000000000, 0x402d800000000000],
+        // 200 irregular hours, tight(1): capacity 0, 8, 40
+        [0x406bf9999999999e, 123, 0x4057ef9db22d0e53, 0x4086019999999998, 0x4086019999999998, 0, 0],
+        [0x404bd76ed15f570c, 176, 0x4038a7deab2d5de9, 0x40785b890199edf1, 0x40785b890199edf1, 0x40710f43d9744de2, 0x4042f48446f30134],
+        [0, 200, 0, 0, 0, 0x4080980000000000, 0x402d800000000000],
+        // 200 irregular hours, tight(200): capacity 0, 8, 40
+        [0x406d800000000000, 160, 0x405653f7ced91687, 0x407b19999999999a, 0x4061533333333333, 0, 0],
+        [0x3fe6fc49fd7a13c0, 198, 0x3fd560e88d9d8cf0, 0x406d61e6970f17f7, 0, 0x4072738e8f79b6fb, 0x4044806582f90433],
+        [0, 200, 0, 0, 0, 0x4080980000000000, 0x402d800000000000],
+        // one hour, cfg(0.4): capacity 0, 8, 40
+        [0x4022000000000000, 0, 0x4005999999999999, 0x4010000000000000, 0x4010000000000000, 0, 0],
+        [0x3fff7318fc504818, 0, 0x3fe2dea897635e75, 0x3fff7318fc504818, 0x3fff7318fc504818, 0x401c2339c0ebedfa, 0x3fef4395810624dd],
+        [0, 1, 0, 0, 0, 0x4022000000000000, 0x3fd0000000000000],
+        // one hour, cfg(1.0): capacity 0, 8, 40
+        [0x4022000000000000, 0, 0x4005999999999999, 0x4022000000000000, 0x4022000000000000, 0, 0],
+        [0x3fff7318fc504818, 0, 0x3fe2dea897635e75, 0x3fff7318fc504818, 0x3fff7318fc504818, 0x401c2339c0ebedfa, 0x3fef4395810624dd],
+        [0, 1, 0, 0, 0, 0x4022000000000000, 0x3fd0000000000000],
+        // one hour, tight(3): capacity 0, 8, 40
+        [0x4022000000000000, 0, 0x4005999999999999, 0x4018000000000000, 0x4018000000000000, 0, 0],
+        [0x3fff7318fc504818, 0, 0x3fe2dea897635e75, 0x3fff7318fc504818, 0x3fff7318fc504818, 0x401c2339c0ebedfa, 0x3fef4395810624dd],
+        [0, 1, 0, 0, 0, 0x4022000000000000, 0x3fd0000000000000],
+        // one hour, tight(1): capacity 0, 8, 40
+        [0x4022000000000000, 0, 0x4005999999999999, 0x4018000000000000, 0x4018000000000000, 0, 0],
+        [0x3fff7318fc504818, 0, 0x3fe2dea897635e75, 0x3fff7318fc504818, 0x3fff7318fc504818, 0x401c2339c0ebedfa, 0x3fef4395810624dd],
+        [0, 1, 0, 0, 0, 0x4022000000000000, 0x3fd0000000000000],
+        // one hour, tight(200): capacity 0, 8, 40
+        [0x4022000000000000, 0, 0x4005999999999999, 0x4018000000000000, 0x4018000000000000, 0, 0],
+        [0x3fff7318fc504818, 0, 0x3fe2dea897635e75, 0x3fff7318fc504818, 0x3fff7318fc504818, 0x401c2339c0ebedfa, 0x3fef4395810624dd],
+        [0, 1, 0, 0, 0, 0x4022000000000000, 0x3fd0000000000000],
+    ];
+
+    #[test]
+    fn stats_match_the_pinned_bits() {
+        let mut scratch = CombinedScratch::default();
+        let mut pinned = PINNED_STATS_BITS.iter();
+        for (f, (demand, supply, weight)) in stats_fixtures().iter().enumerate() {
+            for config in stats_configs() {
+                for capacity in [0.0, 8.0, 40.0] {
+                    let mut battery = ClcBattery::lfp(capacity, 0.9);
+                    let stats = combined_dispatch_stats(
+                        &mut battery,
+                        demand,
+                        supply,
+                        weight,
+                        config,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    let expected = pinned.next().expect("one pin per case");
+                    assert_eq!(
+                        &stats_bits(&stats),
+                        expected,
+                        "fixture {f}, {config:?}, capacity {capacity}"
+                    );
+                }
+            }
+        }
+        assert!(pinned.next().is_none(), "unused pins");
+    }
+
+    /// A deferral's deadline is `h + window_hours`, saturating: a window
+    /// past the horizon, up to `usize::MAX`, means the same as a window of
+    /// the run's length.
+    #[test]
+    fn windows_past_the_horizon_match_a_window_of_its_length() {
+        let mut scratch = CombinedScratch::default();
+        for (demand, supply, weight) in &stats_fixtures() {
+            for capacity in [0.0, 8.0, 40.0] {
+                let mut run = |window_hours| {
+                    let config = CombinedConfig {
+                        max_capacity_mw: 12.0,
+                        flexible_ratio: 0.6,
+                        window_hours,
+                    };
+                    let mut battery = ClcBattery::lfp(capacity, 0.9);
+                    let stats = combined_dispatch_stats(
+                        &mut battery,
+                        demand,
+                        supply,
+                        weight,
+                        config,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    stats_bits(&stats)
+                };
+                let horizon = run(demand.len());
+                for window in [demand.len() + 1, usize::MAX / 2, usize::MAX] {
+                    assert_eq!(run(window), horizon, "window {window}, capacity {capacity}");
+                }
+            }
+        }
     }
 
     #[test]
