@@ -123,7 +123,10 @@ mod tests {
     fn explorer_wires_site_to_its_ba() {
         let mut ctx = Context::new(Fidelity::Fast);
         let explorer = ctx.explorer("UT");
-        assert_eq!(explorer.grid().ba(), BalancingAuthority::PACE);
+        assert_eq!(
+            explorer.grid(),
+            &GridDataset::synthesize(BalancingAuthority::PACE, YEAR, SEED)
+        );
         assert!((explorer.demand().mean() - 19.0).abs() < 0.1);
     }
 

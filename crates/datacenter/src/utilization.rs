@@ -1,6 +1,6 @@
 //! Diurnal CPU-utilization modeling (paper Figure 3, left).
 
-use ce_timeseries::time::hours_in_year;
+use ce_timeseries::time::{hours_in_year, HOURS_PER_DAY};
 use ce_timeseries::{HourlySeries, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,7 +22,10 @@ pub struct UtilizationModel {
     pub peak_hour: f64,
     /// Weekend utilization dip in absolute terms.
     pub weekend_dip: f64,
-    /// Std-dev of hour-to-hour noise.
+    /// Half-width of the hour-to-hour noise: each hour adds
+    /// `noise × (u1 + u2 − 1)` for two uniforms on `[0, 1]`, a triangular
+    /// term on `[−noise, noise]` whose standard deviation is
+    /// `noise / √6 ≈ 0.41 × noise`.
     pub noise: f64,
     /// Number of special-event days per year with elevated load.
     pub event_days: usize,
@@ -67,12 +70,15 @@ impl UtilizationModel {
             event[d] = rng.gen_range(0.05..0.12);
         }
 
+        // The diurnal cosine depends only on the hour of day, so it is
+        // computed for one day and walked once per day.
         let amplitude = self.diurnal_swing / 2.0;
-        HourlySeries::from_fn(Timestamp::start_of_year(year), hours, |h| {
-            let hod = (h % 24) as f64;
-            let day = h / 24;
-            let phase = (hod - self.peak_hour) / 24.0 * std::f64::consts::TAU;
-            let diurnal = amplitude * phase.cos();
+        let diurnal: [f64; HOURS_PER_DAY] = std::array::from_fn(|hod| {
+            let phase = (hod as f64 - self.peak_hour) / 24.0 * std::f64::consts::TAU;
+            amplitude * phase.cos()
+        });
+        let mut util = Vec::with_capacity(hours);
+        for (day, event) in (0u64..).zip(&event) {
             // Day 0 of the synthetic year is a Wednesday-like weekday;
             // days 3 and 4 of each week are the weekend.
             let weekday = day % 7;
@@ -81,14 +87,19 @@ impl UtilizationModel {
             } else {
                 0.0
             };
-            let noise = self.noise * (rand_normal_like(day as u64, h as u64, seed));
-            (self.mean + diurnal + weekend + event[day.min(days - 1)] + noise).clamp(0.0, 1.0)
-        })
+            for diurnal in &diurnal {
+                let hour_of_year = util.len() as u64;
+                let noise = self.noise * (rand_normal_like(day, hour_of_year, seed));
+                util.push((self.mean + diurnal + weekend + event + noise).clamp(0.0, 1.0));
+            }
+        }
+        HourlySeries::from_values(Timestamp::start_of_year(year), util)
     }
 }
 
 /// Cheap deterministic noise in roughly [-1, 1] derived from hashing the
-/// indices — avoids carrying the RNG into the `from_fn` closure.
+/// indices, so an hour's noise depends only on its day, its hour of the
+/// year and the seed.
 fn rand_normal_like(a: u64, b: u64, seed: u64) -> f64 {
     let mut x = a
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -107,6 +118,61 @@ fn rand_normal_like(a: u64, b: u64, seed: u64) -> f64 {
 mod tests {
     use super::*;
     use ce_timeseries::resample::average_day_profile;
+
+    /// [`UtilizationModel::generate`] with the diurnal cosine evaluated
+    /// every hour: the reference its per-hour-of-day table must match bit
+    /// for bit.
+    fn generate_per_hour(model: &UtilizationModel, year: i32, seed: u64) -> HourlySeries {
+        let hours = hours_in_year(year);
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        let days = hours / 24;
+        let mut event = vec![0.0f64; days];
+        for _ in 0..model.event_days {
+            let d = rng.gen_range(0..days);
+            event[d] = rng.gen_range(0.05..0.12);
+        }
+
+        let amplitude = model.diurnal_swing / 2.0;
+        HourlySeries::from_fn(Timestamp::start_of_year(year), hours, |h| {
+            let hod = (h % 24) as f64;
+            let day = h / 24;
+            let phase = (hod - model.peak_hour) / 24.0 * std::f64::consts::TAU;
+            let diurnal = amplitude * phase.cos();
+            let weekday = day % 7;
+            let weekend = if weekday == 3 || weekday == 4 {
+                -model.weekend_dip
+            } else {
+                0.0
+            };
+            let noise = model.noise * (rand_normal_like(day as u64, h as u64, seed));
+            (model.mean + diurnal + weekend + event[day.min(days - 1)] + noise).clamp(0.0, 1.0)
+        })
+    }
+
+    /// Both fleet profiles, in a common year, a leap year (8,784 hours)
+    /// and the year after, over three seeds.
+    #[test]
+    fn generate_matches_the_per_hour_reference_bit_for_bit() {
+        let bits = |s: &HourlySeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, model) in [
+            ("meta", UtilizationModel::meta()),
+            ("google", UtilizationModel::google()),
+        ] {
+            for year in [2019, 2020, 2021] {
+                for seed in [1, 7, 99] {
+                    let hoisted = model.generate(year, seed);
+                    let reference = generate_per_hour(&model, year, seed);
+                    assert_eq!(hoisted.start(), reference.start());
+                    assert_eq!(
+                        bits(&hoisted),
+                        bits(&reference),
+                        "{name} {year} seed {seed}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn meta_profile_swings_about_twenty_percent() {

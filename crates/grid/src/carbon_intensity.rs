@@ -20,25 +20,25 @@ pub fn carbon_intensity_series(
     let Some((_, first)) = fuels.first() else {
         return Err(TimeSeriesError::Empty);
     };
-    let len = first.len();
-    let start = first.start();
     for (_, s) in fuels {
         first.check_aligned(s)?;
     }
-    Ok(HourlySeries::from_fn(start, len, |h| {
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for (fuel, series) in fuels {
-            let gen = series[h];
-            weighted += gen * fuel.carbon_intensity_t_per_mwh();
-            total += gen;
+    // Fuel by fuel, each hour's two sums take their terms in fuel order,
+    // the same as a per-hour loop over the fuels, but each fuel's
+    // intensity is looked up once.
+    let mut weighted = vec![0.0; first.len()];
+    let mut total = vec![0.0; first.len()];
+    for (fuel, series) in fuels {
+        let intensity = fuel.carbon_intensity_t_per_mwh();
+        for ((weighted, total), gen) in weighted.iter_mut().zip(&mut total).zip(series.values()) {
+            *weighted += gen * intensity;
+            *total += gen;
         }
-        if total > 0.0 {
-            weighted / total
-        } else {
-            0.0
-        }
-    }))
+    }
+    for (weighted, total) in weighted.iter_mut().zip(&total) {
+        *weighted = if *total > 0.0 { *weighted / total } else { 0.0 };
+    }
+    Ok(HourlySeries::from_values(first.start(), weighted))
 }
 
 #[cfg(test)]

@@ -31,16 +31,6 @@ pub fn declination_rad(day_of_year: u32) -> f64 {
             .sin()
 }
 
-/// Sine of the solar elevation angle at `hour` (0-23, solar time) on
-/// `day_of_year` at `latitude_deg`. Negative values mean the sun is below
-/// the horizon.
-pub fn sin_elevation(latitude_deg: f64, day_of_year: u32, hour: f64) -> f64 {
-    let lat = latitude_deg.to_radians();
-    let decl = declination_rad(day_of_year);
-    let hour_angle = (15.0 * (hour - 12.0)).to_radians();
-    lat.sin() * decl.sin() + lat.cos() * decl.cos() * hour_angle.cos()
-}
-
 /// Clear-sky output fraction of nameplate capacity (0..1) given the sine of
 /// the solar elevation. Includes a simple air-mass attenuation so output
 /// rises steeply after sunrise, as real PV does.
@@ -56,45 +46,122 @@ pub fn clear_sky_fraction(sin_elev: f64) -> f64 {
 impl SolarModel {
     /// Synthesizes a full year of hourly generation (MW), deterministically
     /// for a given `seed`.
+    ///
+    /// The sine of the solar elevation is
+    /// `sin(lat)·sin(decl) + cos(lat)·cos(decl)·cos(hour angle)`. Each
+    /// factor is computed where it varies: the latitude's once per call,
+    /// the declination's once per day and the hour angle's once per hour
+    /// of day, so an hour costs only the clear-sky attenuation.
     pub fn generate(&self, year: i32, seed: u64) -> HourlySeries {
-        let hours = hours_in_year(year);
         let mut rng = StdRng::seed_from_u64(seed);
-        let days = days_in_year(year);
 
         // Daily cloud state: AR(1) across days, so overcast spells span
         // consecutive days the way weather fronts do.
         let phi_day: f64 = 0.6;
         let norm = (1.0 - phi_day * phi_day).sqrt();
+        // Map state to attenuation centered on `cloudiness`. The
+        // worst-case attenuation scales with the climate: a high-desert
+        // site (low cloudiness) never loses a whole day to overcast the
+        // way the Pacific Northwest does — this is what lets sunny hybrid
+        // regions reach 100% coverage with a night-sized battery, as the
+        // paper finds for NM/TX.
+        let worst = (0.25 + 2.2 * self.cloudiness).min(0.95);
         let mut cloud_state = 0.0f64;
-        let mut daily_cloud = Vec::with_capacity(days as usize);
-        for _ in 0..days {
+
+        let lat = self.latitude_deg.to_radians();
+        let (lat_sin, lat_cos) = (lat.sin(), lat.cos());
+        // Cosine of the hour angle at each mid-hour sun position.
+        let hour_angle_cos: [f64; HOURS_PER_DAY] = std::array::from_fn(|hod| {
+            let hour = hod as f64 + 0.5;
+            (15.0 * (hour - 12.0)).to_radians().cos()
+        });
+
+        let mut mw = Vec::with_capacity(hours_in_year(year));
+        for doy in 1..=days_in_year(year) {
             let eps: f64 = rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0); // ~triangular
             cloud_state = phi_day * cloud_state + norm * eps * 0.5;
-            // Map state to attenuation centered on `cloudiness`. The
-            // worst-case attenuation scales with the climate: a
-            // high-desert site (low cloudiness) never loses a whole day
-            // to overcast the way the Pacific Northwest does — this is
-            // what lets sunny hybrid regions reach 100% coverage with a
-            // night-sized battery, as the paper finds for NM/TX.
-            let worst = (0.25 + 2.2 * self.cloudiness).min(0.95);
             let atten = (self.cloudiness + 0.5 * cloud_state).clamp(0.0, worst);
-            daily_cloud.push(atten);
+            let decl = declination_rad(doy);
+            let (sin_term, cos_term) = (lat_sin * decl.sin(), lat_cos * decl.cos());
+            mw.extend(hour_angle_cos.iter().map(|hour_cos| {
+                let clear = clear_sky_fraction(sin_term + cos_term * hour_cos);
+                self.capacity_mw * clear * (1.0 - atten)
+            }));
         }
-
-        HourlySeries::from_fn(Timestamp::start_of_year(year), hours, |h| {
-            let doy = (h / HOURS_PER_DAY) as u32 + 1;
-            let hour = (h % HOURS_PER_DAY) as f64 + 0.5; // mid-hour sun position
-            let clear = clear_sky_fraction(sin_elevation(self.latitude_deg, doy, hour));
-            let atten = daily_cloud[(doy - 1) as usize];
-            self.capacity_mw * clear * (1.0 - atten)
-        })
+        HourlySeries::from_values(Timestamp::start_of_year(year), mw)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BalancingAuthority;
     use ce_timeseries::resample::{average_day_profile, daily_totals};
+
+    /// Sine of the solar elevation angle at `hour` (0-23, solar time) on
+    /// `day_of_year` at `latitude_deg`. Negative values mean the sun is
+    /// below the horizon.
+    fn sin_elevation(latitude_deg: f64, day_of_year: u32, hour: f64) -> f64 {
+        let lat = latitude_deg.to_radians();
+        let decl = declination_rad(day_of_year);
+        let hour_angle = (15.0 * (hour - 12.0)).to_radians();
+        lat.sin() * decl.sin() + lat.cos() * decl.cos() * hour_angle.cos()
+    }
+
+    /// [`SolarModel::generate`] with the whole solar geometry evaluated
+    /// every hour: the reference its hoisted terms must match bit for bit.
+    fn generate_per_hour(model: &SolarModel, year: i32, seed: u64) -> HourlySeries {
+        let hours = hours_in_year(year);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let days = days_in_year(year);
+
+        let phi_day: f64 = 0.6;
+        let norm = (1.0 - phi_day * phi_day).sqrt();
+        let mut cloud_state = 0.0f64;
+        let mut daily_cloud = Vec::with_capacity(days as usize);
+        for _ in 0..days {
+            let eps: f64 = rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0);
+            cloud_state = phi_day * cloud_state + norm * eps * 0.5;
+            let worst = (0.25 + 2.2 * model.cloudiness).min(0.95);
+            let atten = (model.cloudiness + 0.5 * cloud_state).clamp(0.0, worst);
+            daily_cloud.push(atten);
+        }
+
+        HourlySeries::from_fn(Timestamp::start_of_year(year), hours, |h| {
+            let doy = (h / HOURS_PER_DAY) as u32 + 1;
+            let hour = (h % HOURS_PER_DAY) as f64 + 0.5;
+            let clear = clear_sky_fraction(sin_elevation(model.latitude_deg, doy, hour));
+            let atten = daily_cloud[(doy - 1) as usize];
+            model.capacity_mw * clear * (1.0 - atten)
+        })
+    }
+
+    /// Every balancing authority's plant, in a common year, a leap year
+    /// (8,784 hours) and the year after, over three seeds.
+    #[test]
+    fn generate_matches_the_per_hour_reference_bit_for_bit() {
+        let bits = |s: &HourlySeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ba in BalancingAuthority::ALL {
+            let profile = ba.profile();
+            let model = SolarModel {
+                capacity_mw: profile.solar_capacity_mw,
+                latitude_deg: profile.latitude_deg,
+                cloudiness: profile.cloudiness,
+            };
+            for year in [2019, 2020, 2021] {
+                for seed in [1, 7, 99] {
+                    let hoisted = model.generate(year, seed);
+                    let reference = generate_per_hour(&model, year, seed);
+                    assert_eq!(hoisted.start(), reference.start());
+                    assert_eq!(
+                        bits(&hoisted),
+                        bits(&reference),
+                        "{ba:?} {year} seed {seed}"
+                    );
+                }
+            }
+        }
+    }
 
     fn model() -> SolarModel {
         SolarModel {

@@ -6,7 +6,7 @@ use crate::carbon_intensity::carbon_intensity_series;
 use crate::fuel::FuelType;
 use crate::solar::SolarModel;
 use crate::wind::WindModel;
-use ce_timeseries::time::hours_in_year;
+use ce_timeseries::time::{hours_in_year, HOURS_PER_DAY};
 use ce_timeseries::{kernels, HourlySeries, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,15 +62,27 @@ impl GridDataset {
         }
         .generate(year, base ^ WIND_STREAM);
 
-        // Grid demand: diurnal double-peak plus noise.
-        let mut rng = StdRng::seed_from_u64(base ^ 0xDE44);
-        let demand = HourlySeries::from_fn(start, hours, |h| {
-            let hod = (h % 24) as f64;
-            let diurnal = 0.08 * ((hod - 18.0) / 24.0 * std::f64::consts::TAU).cos()
-                + 0.04 * ((hod - 8.0) / 12.0 * std::f64::consts::TAU).cos();
-            let noise: f64 = rng.gen_range(-0.02..0.02);
-            profile.grid_demand_mw * (1.0 + diurnal + noise)
+        // Grid demand: diurnal double-peak plus noise. The double peak
+        // depends only on the hour of day, so it is computed for one day
+        // and repeated.
+        let diurnal: [f64; HOURS_PER_DAY] = std::array::from_fn(|hod| {
+            let hod = hod as f64;
+            0.08 * ((hod - 18.0) / 24.0 * std::f64::consts::TAU).cos()
+                + 0.04 * ((hod - 8.0) / 12.0 * std::f64::consts::TAU).cos()
         });
+        let mut rng = StdRng::seed_from_u64(base ^ 0xDE44);
+        let demand = HourlySeries::from_values(
+            start,
+            diurnal
+                .iter()
+                .cycle()
+                .take(hours)
+                .map(|diurnal| {
+                    let noise: f64 = rng.gen_range(-0.02..0.02);
+                    profile.grid_demand_mw * (1.0 + diurnal + noise)
+                })
+                .collect(),
+        );
 
         // Conventional stack fills demand net of renewables.
         let baseload_total = &demand * profile.baseload_fraction;
@@ -115,19 +127,9 @@ impl GridDataset {
         }
     }
 
-    /// The balancing authority this dataset describes.
-    pub fn ba(&self) -> BalancingAuthority {
-        self.ba
-    }
-
-    /// The calendar year synthesized.
-    pub fn year(&self) -> i32 {
-        self.year
-    }
-
-    /// The seed of the synthetic weather streams. Together with
-    /// [`GridDataset::ba`] and [`GridDataset::year`] it reconstructs this
-    /// dataset exactly — one seed is one synthetic weather year.
+    /// The seed of the synthetic weather streams. Together with the
+    /// balancing authority and the year it reconstructs this dataset
+    /// exactly — one seed is one synthetic weather year.
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -169,11 +171,6 @@ impl GridDataset {
     /// Hourly grid demand, MW.
     pub fn demand(&self) -> &HourlySeries {
         &self.demand
-    }
-
-    /// All per-fuel generation series.
-    pub fn fuels(&self) -> &[(FuelType, HourlySeries)] {
-        &self.fuels
     }
 
     /// Hourly carbon intensity of the grid mix, tons CO2eq per MWh.
@@ -310,7 +307,7 @@ mod tests {
         // Generation ≈ demand except in surplus-renewable hours where it
         // can exceed demand (curtailment handled downstream).
         for i in (0..g.demand().len()).step_by(97) {
-            let total: f64 = g.fuels().iter().map(|(_, series)| series[i]).sum();
+            let total: f64 = g.fuels.iter().map(|(_, series)| series[i]).sum();
             assert!(
                 total >= g.demand()[i] * 0.9 - 1e-6,
                 "hour {i}: generation {total} far below demand {}",

@@ -601,8 +601,11 @@ pub fn build_explorer(ctx: &Context) -> Result<CarbonExplorer, RequestError> {
         }
         DemandSource::Constant { ba, demand_mw } => {
             let grid = GridDataset::synthesize(*ba, ctx.year, ctx.seed);
-            let intensity = grid.carbon_intensity();
-            let demand = HourlySeries::constant(intensity.start(), intensity.len(), *demand_mw);
+            // Every grid series shares one clock, so the solar series sizes
+            // the flat trace without computing the carbon intensity, which
+            // `CarbonExplorer::new` computes anyway.
+            let solar = grid.solar();
+            let demand = HourlySeries::constant(solar.start(), solar.len(), *demand_mw);
             Ok(CarbonExplorer::new(demand, grid))
         }
     }
@@ -1294,6 +1297,45 @@ mod tests {
         for (name, value) in eval.canonical_fields() {
             let wire = parsed.get(name).and_then(Json::as_f64).expect(name);
             assert_eq!(wire.to_bits(), value.to_bits(), "{name}");
+        }
+    }
+
+    /// A `ba` + `demand_mw` context scores designs bit for bit like an
+    /// explorer built straight from the library, with the flat trace
+    /// sized by the grid's carbon intensity, in a leap and a common year.
+    #[test]
+    fn constant_demand_explorer_matches_a_direct_build() {
+        let design = DesignPoint {
+            solar_mw: 100.0,
+            wind_mw: 50.0,
+            battery_mwh: 40.0,
+            extra_capacity_fraction: 0.2,
+        };
+        for year in [2020, 2021] {
+            let ctx = Context {
+                source: DemandSource::Constant {
+                    ba: BalancingAuthority::PACE,
+                    demand_mw: 20.0,
+                },
+                year,
+                seed: 7,
+            };
+            let served = build_explorer(&ctx).expect("builds");
+            let grid = GridDataset::synthesize(BalancingAuthority::PACE, year, 7);
+            let intensity = grid.carbon_intensity();
+            let demand = HourlySeries::constant(intensity.start(), intensity.len(), 20.0);
+            let direct = CarbonExplorer::new(demand, grid);
+            assert_eq!(served.demand(), direct.demand(), "{year}");
+            for strategy in StrategyKind::ALL {
+                let mut scratch = EvalScratch::default();
+                let a = served.evaluate_with(strategy, &design, &mut scratch);
+                let b = direct.evaluate_with(strategy, &design, &mut scratch);
+                for ((name, x), (_, y)) in
+                    a.canonical_fields().into_iter().zip(b.canonical_fields())
+                {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{year} {strategy:?} {name}");
+                }
+            }
         }
     }
 
