@@ -38,6 +38,29 @@ pub trait BatteryModel {
     /// legal range).
     fn reset(&mut self, fraction: f64);
 
+    /// Whether a charge is a no-op for every request: every
+    /// [`BatteryModel::charge`] call would return `+0.0` and leave the
+    /// state bitwise unchanged, until a discharge or a reset moves it. A
+    /// battery pegged full answers `true`, and so does a zero-capacity
+    /// one.
+    ///
+    /// The dispatch kernels skip the charges that this reports as no-ops,
+    /// so an implementation must answer `true` only when the charge itself
+    /// would change nothing. The default answers `false`: every surplus
+    /// hour is stepped.
+    fn pegged_full(&self) -> bool {
+        false
+    }
+
+    /// [`BatteryModel::pegged_full`] for discharges: whether every
+    /// [`BatteryModel::discharge`] call would return `+0.0` and leave the
+    /// state bitwise unchanged, until a charge or a reset moves it. A
+    /// battery pegged empty answers `true`, and so does a zero-capacity
+    /// one. The default answers `false`.
+    fn pegged_empty(&self) -> bool {
+        false
+    }
+
     /// State of charge as a fraction of nameplate capacity.
     fn soc_fraction(&self) -> f64 {
         if self.capacity_mwh() > 0.0 {

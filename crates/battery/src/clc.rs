@@ -148,21 +148,16 @@ impl BatteryModel for ClcBattery {
 
     #[inline]
     fn charge(&mut self, power_mw: f64) -> f64 {
-        // ce:allow(float-eq, reason = "a zero-capacity battery is an exact sentinel (the no-battery strategy arm), not a computed value")
-        if power_mw <= 0.0 || self.params.capacity_mwh == 0.0 {
+        if power_mw <= 0.0 || self.pegged_full() {
             return 0.0;
         }
         let efficiency = self.params.charge_efficiency;
         // The request, capped at the C-rate, does not depend on the state
         // of charge, so in the common hour `want · eta_c` is computed off
         // the state-of-charge dependency chain.
-        let want = power_mw.min(self.params.charge_c_rate * self.params.capacity_mwh);
-        let headroom = self.params.capacity_mwh - self.soc_mwh;
-        if headroom <= 0.0 {
-            // Pegged full: the general path would accept nothing and
-            // leave the state untouched.
-            return 0.0;
-        }
+        let capacity = self.params.capacity_mwh;
+        let want = power_mw.min(self.params.charge_c_rate * capacity);
+        let headroom = capacity - self.soc_mwh;
         // Headroom limit: drawing E from the source stores eta_c · E. It
         // binds only in the hour the battery fills, so it is picked on a
         // predicted branch, which keeps the division off the chain, rather
@@ -178,16 +173,24 @@ impl BatteryModel for ClcBattery {
         } else {
             want
         };
-        self.soc_mwh += accepted * efficiency;
-        // Guard against fp drift.
-        self.soc_mwh = self.soc_mwh.min(self.params.capacity_mwh);
+        // Guard against fp drift: the cap, picked on a predicted branch
+        // like the headroom limit, so the chain from one hour to the next
+        // is the add alone. It returns what `soc.min(capacity)` returns: a
+        // NaN `soc` fails the test and gets `capacity`, which is never NaN
+        // and `> 0` here, so no tie between zeros of either sign arises.
+        let soc = self.soc_mwh + accepted * efficiency;
+        self.soc_mwh = if soc <= capacity {
+            soc
+        } else {
+            std::hint::cold_path();
+            capacity
+        };
         accepted
     }
 
     #[inline]
     fn discharge(&mut self, power_mw: f64) -> f64 {
-        // ce:allow(float-eq, reason = "a zero-capacity battery is an exact sentinel (the no-battery strategy arm), not a computed value")
-        if power_mw <= 0.0 || self.params.capacity_mwh == 0.0 {
+        if power_mw <= 0.0 || self.pegged_empty() {
             return 0.0;
         }
         let efficiency = self.params.discharge_efficiency;
@@ -195,12 +198,9 @@ impl BatteryModel for ClcBattery {
         // hour its drain `want / eta_d`, stay off the state-of-charge chain.
         let want = power_mw.min(self.params.discharge_c_rate * self.params.capacity_mwh);
         let min_soc = self.min_soc_mwh();
-        let available = (self.soc_mwh - min_soc).max(0.0);
-        if available <= 0.0 {
-            // Pegged empty: the general path would deliver nothing and
-            // leave the state untouched.
-            return 0.0;
-        }
+        // `> 0` (not pegged empty), so clamping it at 0 would change
+        // nothing.
+        let available = self.soc_mwh - min_soc;
         // Content limit: delivering E to the load drains E / eta_d. It
         // binds only in the hour the battery empties; picked on a branch
         // for the reasons given in `charge` (here `deliver_cap >= +0.0`,
@@ -212,8 +212,18 @@ impl BatteryModel for ClcBattery {
         } else {
             want
         };
-        self.soc_mwh -= delivered / efficiency;
-        self.soc_mwh = self.soc_mwh.max(min_soc);
+        // The floor, on a predicted branch as in `charge`. It returns what
+        // `soc.max(min_soc)` returns: a NaN floor reads as pegged empty,
+        // so `min_soc` is not NaN here; the state before the step is above
+        // the floor, which is `>= +0.0`, so `soc` is never `-0.0`; and a
+        // tie of two `+0.0`s returns `+0.0` either way.
+        let soc = self.soc_mwh - delivered / efficiency;
+        self.soc_mwh = if soc >= min_soc {
+            soc
+        } else {
+            std::hint::cold_path();
+            min_soc
+        };
         delivered
     }
 
@@ -221,6 +231,26 @@ impl BatteryModel for ClcBattery {
     fn reset(&mut self, fraction: f64) {
         let target = self.params.capacity_mwh * fraction.clamp(0.0, 1.0);
         self.soc_mwh = target.clamp(self.min_soc_mwh(), self.params.capacity_mwh);
+    }
+
+    /// No capacity, or no headroom: [`ClcBattery::charge`] returns `+0.0`
+    /// here before it reads the request. A NaN state of charge has NaN
+    /// headroom, which fails `<= 0`: not pegged full.
+    #[inline]
+    fn pegged_full(&self) -> bool {
+        let capacity = self.params.capacity_mwh;
+        // ce:allow(float-eq, reason = "a zero-capacity battery is an exact sentinel (the no-battery strategy arm), not a computed value")
+        capacity == 0.0 || capacity - self.soc_mwh <= 0.0
+    }
+
+    /// No capacity, or no content above the DoD floor:
+    /// [`ClcBattery::discharge`] returns `+0.0` here before it reads the
+    /// request. A NaN state of charge clamps its content to `0.0`: pegged
+    /// empty.
+    #[inline]
+    fn pegged_empty(&self) -> bool {
+        // ce:allow(float-eq, reason = "a zero-capacity battery is an exact sentinel (the no-battery strategy arm), not a computed value")
+        self.params.capacity_mwh == 0.0 || (self.soc_mwh - self.min_soc_mwh()).max(0.0) <= 0.0
     }
 }
 
@@ -273,14 +303,24 @@ mod tests {
     /// Year-like runs reach the limit branch only in the hours a battery
     /// fills or empties, so this pins the cases where a branch and
     /// `f64::min` could part: NaN operands, ties, zeros of both signs,
-    /// subnormals, infinities and the ulps around each limit.
+    /// subnormals, infinities and the ulps around each limit. Where
+    /// [`BatteryModel::pegged_full`] (or `pegged_empty`) reports a step as
+    /// a no-op, the step must return `+0.0` and leave the state's bits as
+    /// they were; a NaN state reads as pegged empty, not full.
     #[test]
     fn steps_match_the_min_reference_bitwise() {
         type Step = fn(&mut ClcBattery, f64) -> f64;
-        let directions: [(&str, Step, Step); 2] = [
-            ("charge", ClcBattery::charge, ClcBattery::reference_charge),
+        type Pegged = fn(&ClcBattery) -> bool;
+        let directions: [(&str, Pegged, Step, Step); 2] = [
+            (
+                "charge",
+                ClcBattery::pegged_full,
+                ClcBattery::charge,
+                ClcBattery::reference_charge,
+            ),
             (
                 "discharge",
+                ClcBattery::pegged_empty,
                 ClcBattery::discharge,
                 ClcBattery::reference_discharge,
             ),
@@ -310,18 +350,31 @@ mod tests {
                         requests.extend([rate_cap.next_down(), rate_cap, rate_cap.next_up()]);
                     }
                     for soc_mwh in socs {
+                        let battery = ClcBattery { params, soc_mwh };
+                        if soc_mwh.is_nan() && capacity > 0.0 {
+                            assert!(battery.pegged_empty());
+                            assert!(!battery.pegged_full());
+                        }
                         for &power in &requests {
-                            for (name, step, reference) in directions {
+                            for (name, pegged, step, reference) in directions {
                                 let run = |step: Step| {
-                                    let mut b = ClcBattery { params, soc_mwh };
+                                    let mut b = battery.clone();
                                     let out = step(&mut b, power);
                                     (out.to_bits(), b.soc_mwh.to_bits())
                                 };
+                                let stepped = run(step);
                                 assert_eq!(
-                                    run(step),
+                                    stepped,
                                     run(reference),
                                     "{name}({power:e}) at SoC {soc_mwh:e} of {params:?}"
                                 );
+                                if pegged(&battery) {
+                                    assert_eq!(
+                                        stepped,
+                                        (0.0f64.to_bits(), soc_mwh.to_bits()),
+                                        "pegged {name}({power:e}) at SoC {soc_mwh:e} of {params:?}"
+                                    );
+                                }
                                 cases += 1;
                             }
                         }

@@ -160,8 +160,7 @@ impl CarbonExplorer {
             .expect("demand trace must cover the same year as the grid dataset");
         let peak_demand_mw = demand.max().unwrap_or(0.0);
         let demand_mwh = demand.sum();
-        let unit_solar_mwh = grid.scaled_solar(1.0).sum();
-        let unit_wind_mwh = grid.scaled_wind(1.0).sum();
+        let (unit_solar_mwh, unit_wind_mwh) = grid.unit_energies_mwh();
         let intensity_nonnegative = grid_intensity.values().iter().all(|&w| w >= 0.0);
         Self {
             demand,
@@ -490,30 +489,58 @@ impl CarbonExplorer {
     ///
     /// The traversal is **supply-major factorized**: the scaled renewable
     /// supply depends only on the (solar, wind) coordinates, so the grid
-    /// is grouped by those two axes, each group's supply is written into
-    /// the worker's scratch once, and the battery × extra-capacity
-    /// sub-grid is swept against the cached series. On a `B × E`
-    /// sub-grid this divides the supply-synthesis work (two scaled
-    /// year-long series plus their sum) by `B × E` relative to the
-    /// point-per-point path, without changing a single float operation in
-    /// any evaluation: the cached supply is bitwise what
-    /// [`CarbonExplorer::evaluate_with`] would have recomputed. For the
-    /// CAS strategy the per-day cost sort is hoisted the same way: the
-    /// group's [`CostOrder`] is rebuilt once alongside its supply and
-    /// every sub-point schedules through the cached permutations, the
-    /// same ones [`GreedyScheduler::schedule`] ranks per call.
+    /// is grouped by those two axes, a lane writes a group's supply into
+    /// its scratch when it reaches the group, and scores the group's
+    /// battery × extra-capacity points against the cached series. On a
+    /// `B × E` sub-grid over `T` lanes this divides the supply-synthesis
+    /// work (two scaled year-long series plus their sum) by up to
+    /// `B × E / T` relative to the point-per-point path, without changing
+    /// a single float operation in any evaluation: the cached supply is
+    /// bitwise what [`CarbonExplorer::evaluate_with`] would have
+    /// recomputed. For the CAS strategy the per-day cost sort is hoisted
+    /// the same way: the group's [`CostOrder`] is rebuilt alongside its
+    /// supply and the lane schedules the group's points through the cached
+    /// permutations, the same ones [`GreedyScheduler::schedule`] ranks per
+    /// call.
+    ///
+    /// The points are dealt to the lanes round-robin in sweep order
+    /// ([`ce_parallel::par_map_with`]), so every lane gets a share of
+    /// every group: the groups of one sweep can differ several-fold in
+    /// cost (a battery pegged empty all year dispatches in a fraction of
+    /// the time of one that cycles), and whole groups per lane would leave
+    /// a lane idle. Each result lands at its sweep index.
     #[must_use]
     pub fn explore(&self, strategy: StrategyKind, space: &DesignSpace) -> Vec<EvaluatedDesign> {
         let space = space.restricted_to(strategy);
         let (groups, sub) = factor_space(&space);
-        let blocks = ce_parallel::par_map_with(
-            &groups,
-            EvalScratch::default,
-            |scratch, &(solar_mw, wind_mw)| {
-                self.evaluate_group(strategy, solar_mw, wind_mw, &sub, scratch)
+        // Each point with the index of its supply group, in sweep order.
+        let points: Vec<(usize, DesignPoint)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, &(solar_mw, wind_mw))| {
+                sub.iter()
+                    .map(move |&(battery_mwh, extra_capacity_fraction)| {
+                        let design = DesignPoint {
+                            solar_mw,
+                            wind_mw,
+                            battery_mwh,
+                            extra_capacity_fraction,
+                        };
+                        (g, design)
+                    })
+            })
+            .collect();
+        ce_parallel::par_map_with(
+            &points,
+            || (EvalScratch::default(), None),
+            |(scratch, built), &(g, design)| {
+                let mut walk = self.walk_group(strategy, design.solar_mw, design.wind_mw, scratch);
+                // The scratch holds the supply of the lane's last group.
+                walk.built = *built == Some(g);
+                *built = Some(g);
+                walk.score(&design)
             },
-        );
-        blocks.into_iter().flatten().collect()
+        )
     }
 
     /// Streams the sweep of `space` one supply group at a time: `visit`

@@ -3,8 +3,8 @@
 //! same designs, in the same order, with bitwise-identical scores.
 //!
 //! This holds by construction — each design point's evaluation is
-//! independent and the parallel map assembles contiguous chunks in input
-//! order — but the test pins it so a future reduction reorder (e.g. a
+//! independent and the parallel map puts every result back at its input
+//! index — but the test pins it so a future reduction reorder (e.g. a
 //! tree-shaped sum) cannot silently change published numbers.
 
 use ce_core::{CarbonExplorer, DesignSpace, StrategyKind};

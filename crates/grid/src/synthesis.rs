@@ -10,6 +10,7 @@ use ce_timeseries::time::{hours_in_year, HOURS_PER_DAY};
 use ce_timeseries::{kernels, HourlySeries, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::iter;
 
 /// One year of synthetic hourly grid operating data for a balancing
 /// authority — the stand-in for the EIA Hourly Grid Monitor feed.
@@ -197,6 +198,16 @@ impl GridDataset {
         scale_series(self.solar(), scale_factor(self.solar_max_mw, investment_mw))
     }
 
+    /// Annual energy of a 1 MW solar and a 1 MW wind investment, MWh:
+    /// bitwise `scaled_solar(1.0).sum()` and `scaled_wind(1.0).sum()`,
+    /// folded without materializing either scaled series.
+    pub fn unit_energies_mwh(&self) -> (f64, f64) {
+        (
+            scaled_sum(self.solar(), scale_factor(self.solar_max_mw, 1.0)),
+            scaled_sum(self.wind(), scale_factor(self.wind_max_mw, 1.0)),
+        )
+    }
+
     /// Combined renewable supply for a (solar, wind) investment pair.
     pub fn scaled_renewables(&self, solar_mw: f64, wind_mw: f64) -> HourlySeries {
         let mut out = HourlySeries::zeros(self.solar().start(), self.solar().len());
@@ -253,6 +264,16 @@ fn scale_series(series: &HourlySeries, factor: Option<f64>) -> HourlySeries {
     match factor {
         Some(factor) => series.scale(factor),
         None => HourlySeries::zeros(series.start(), series.len()),
+    }
+}
+
+/// `scale_series(series, factor).sum()` without the series: the same
+/// products (`v * factor`, or zeros without a factor, not `v * 0`) summed
+/// in index order by the same `Iterator::sum`.
+fn scaled_sum(series: &HourlySeries, factor: Option<f64>) -> f64 {
+    match factor {
+        Some(factor) => series.values().iter().map(|v| v * factor).sum(),
+        None => iter::repeat_n(0.0, series.len()).sum(),
     }
 }
 
@@ -327,6 +348,29 @@ mod tests {
         // Scaling preserves shape: correlation with the original is 1.
         let corr = ce_timeseries::stats::pearson(g.wind().values(), scaled.values()).unwrap();
         assert!((corr - 1.0).abs() < 1e-9);
+    }
+
+    /// The unit energies fold the scaled series' sums without the
+    /// series, bit for bit, for every BA in 2019–2021 (DUK's wind is all
+    /// zeros).
+    #[test]
+    fn unit_energies_match_the_scaled_series_sums_bitwise() {
+        for ba in BalancingAuthority::ALL {
+            for year in 2019..=2021 {
+                let g = GridDataset::synthesize(ba, year, 7);
+                let (solar, wind) = g.unit_energies_mwh();
+                assert_eq!(
+                    solar.to_bits(),
+                    g.scaled_solar(1.0).sum().to_bits(),
+                    "{ba:?} {year}"
+                );
+                assert_eq!(
+                    wind.to_bits(),
+                    g.scaled_wind(1.0).sum().to_bits(),
+                    "{ba:?} {year}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,28 +5,27 @@
 //! balancing authority. This crate provides the small parallel-map core
 //! those sweeps run on, built on `std::thread::scope` (the container this
 //! workspace builds in has no crates.io access, so rayon itself cannot be
-//! fetched; this is the same contiguous-chunk + indexed-collect shape a
-//! rayon `par_iter().map().collect()` would compile to for these
-//! workloads).
+//! fetched).
 //!
 //! Guarantees:
 //!
 //! - **Deterministic output order**: results are returned in input order,
-//!   assembled from per-thread contiguous chunks — never in completion
-//!   order. For a pure `f`, output is bitwise-identical to the serial map.
+//!   each put back at its item's index — never in completion order. For a
+//!   pure `f`, output is bitwise-identical to the serial map.
 //! - **No nested oversubscription**: a `par_map` issued from inside a
 //!   worker thread runs serially, so outer parallelism (e.g. per-site
 //!   experiment loops) composes with inner parallelism (per-design sweeps)
 //!   without spawning `threads²` workers.
 //! - **Per-thread scratch**: [`par_map_with`] hands each worker one
-//!   scratch value for its whole chunk, the std-thread equivalent of
+//!   scratch value for all its items, the std-thread equivalent of
 //!   rayon's thread-local `map_init` — allocation-free inner loops reuse
-//!   buffers across a chunk.
-//! - **Strided reductions**: [`par_fold_strided_with`] deals items to
-//!   lanes round-robin and hands each lane its items' input indices, so a
-//!   reduction that skips work unevenly along the input still splits it
-//!   evenly, and an index tie-break keeps its result equal to the serial
-//!   fold's.
+//!   buffers across items.
+//! - **Even lanes**: the maps and [`par_fold_strided_with`] deal items to
+//!   lanes round-robin, so work whose cost varies along the input (a
+//!   sweep's supply groups, a search that skips what it can prove
+//!   useless) still splits evenly. The fold hands each lane its items'
+//!   input indices, and an index tie-break keeps its result equal to the
+//!   serial fold's.
 //!
 //! The worker count comes from `std::thread::available_parallelism`,
 //! overridable with the `CE_THREADS` environment variable (`CE_THREADS=1`
@@ -110,9 +109,17 @@ where
 }
 
 /// [`par_map`] with a per-worker scratch value: each worker calls `init`
-/// once and reuses the scratch across every item of its chunk.
+/// once and reuses the scratch across every item it maps.
 ///
-/// Results are returned in input order regardless of thread scheduling.
+/// Items are dealt to the workers round-robin: worker `l` of `T` maps
+/// items `l`, `l + T`, `l + 2T`, … in that order, and every result lands
+/// at its item's index, so results are in input order regardless of
+/// thread scheduling. Dealing rather than cutting the input into
+/// contiguous chunks gives every worker a share of each region of it, so
+/// a map whose cost varies along the input keeps every worker busy. A
+/// scratch that caches work for a run of neighbouring items (a sweep's
+/// supply group) sees that run's items in increasing index order, so a
+/// worker builds such a cache at most once per run it reaches.
 pub fn par_map_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -120,39 +127,91 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let threads = max_threads().min(items.len());
-    if threads <= 1 || items.len() <= 1 || in_parallel_region() {
+    map_strided(items, max_threads(), init, f)
+}
+
+/// [`par_map_with`] over at most `lanes` lanes. Runs as a single serial
+/// lane for `lanes <= 1`, at most one item, or from inside a parallel
+/// region.
+fn map_strided<T, R, S, I, F>(items: &[T], lanes: usize, init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
+    let lanes = strided_lanes(lanes, items.len());
+    if lanes == 1 {
         let mut scratch = init();
         return items.iter().map(|item| f(&mut scratch, item)).collect();
     }
-
-    let chunk_size = items.len().div_ceil(threads);
+    let mut outputs: Vec<_> = run_lanes(lanes, |l| {
+        let mut scratch = init();
+        let lane = items.iter().skip(l).step_by(lanes);
+        lane.map(|item| f(&mut scratch, item)).collect::<Vec<R>>()
+    })
+    .into_iter()
+    .map(Vec::into_iter)
+    .collect();
+    // Item `i` is result `i / T` of lane `i % T`: one result from each
+    // lane in turn restores input order. The first lane to run out has
+    // passed the last index, and so has every lane after it.
     let mut results = Vec::with_capacity(items.len());
+    'rounds: loop {
+        for lane in &mut outputs {
+            match lane.next() {
+                Some(result) => results.push(result),
+                None => break 'rounds,
+            }
+        }
+    }
+    results
+}
+
+/// Runs `lane(l)` for every `l` in `0..lanes` and returns the results in
+/// lane order: on the calling thread for a single lane, otherwise on one
+/// scoped worker per lane, each marked as a parallel-region worker. A
+/// lane's panic is re-raised on the caller with its own payload.
+fn run_lanes<A, F>(lanes: usize, lane: F) -> Vec<A>
+where
+    A: Send,
+    F: Fn(usize) -> A + Sync,
+{
+    if lanes <= 1 {
+        return vec![lane(0)];
+    }
     thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(|| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|l| {
+                let lane = &lane;
+                scope.spawn(move || {
                     IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    let mut scratch = init();
-                    let out: Vec<R> = chunk.iter().map(|item| f(&mut scratch, item)).collect();
+                    let acc = lane(l);
                     IN_PARALLEL_REGION.with(|flag| flag.set(false));
-                    out
+                    acc
                 })
             })
             .collect();
-        // Joining in spawn order reassembles input order: chunks are
-        // contiguous, and each worker preserves order within its chunk.
-        for handle in handles {
-            match handle.join() {
-                Ok(out) => results.extend(out),
-                // Re-raise the worker's own panic payload on the caller —
-                // same observable behavior as a serial map that panicked.
+        // Joining in spawn order keeps the results in lane order, hence
+        // deterministic.
+        handles
+            .into_iter()
+            .map(|handle| match handle.join() {
+                Ok(acc) => acc,
                 Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    results
+            })
+            .collect()
+    })
+}
+
+/// The number of lanes a strided region over `len` items runs: `lanes`,
+/// clamped to `1..=len`, and 1 inside a parallel region.
+fn strided_lanes(lanes: usize, len: usize) -> usize {
+    if in_parallel_region() {
+        1
+    } else {
+        lanes.clamp(1, len.max(1))
+    }
 }
 
 /// The items one lane of [`par_fold_strided_with`] folds: `(index, item)`
@@ -169,10 +228,9 @@ pub type Lane<'a, T> = StepBy<Skip<Enumerate<slice::Iter<'a, T>>>>;
 /// This is the reduction counterpart of [`par_map_with`]: nothing
 /// proportional to `items.len()` is materialized, so a sweep looking for
 /// a minimum carries one candidate per lane instead of a full result
-/// vector. Striding rather than chunking spreads every region of the
-/// input across all lanes, so a fold whose cost falls along the input
-/// (one that skips work it can prove useless) still keeps every worker
-/// busy. A lane sees its items in increasing index order, and the
+/// vector. Items are dealt as [`par_map_with`] deals them, so a fold
+/// whose cost falls along the input (one that skips work it can prove
+/// useless) still keeps every worker busy. A lane sees its items in increasing index order, and the
 /// indices let `combine` restore input order: a first-winner minimum
 /// that breaks ties by the lower index selects exactly what the serial
 /// fold over all items selects.
@@ -201,7 +259,7 @@ fn fold_strided<T, S, A, I, F, C>(
     lanes: usize,
     init: I,
     fold_lane: F,
-    mut combine: C,
+    combine: C,
 ) -> Option<A>
 where
     T: Sync,
@@ -213,43 +271,12 @@ where
     if items.is_empty() {
         return None;
     }
-    let lanes = if in_parallel_region() {
-        1
-    } else {
-        lanes.clamp(1, items.len())
-    };
-    let lane = |l: usize| items.iter().enumerate().skip(l).step_by(lanes);
-    if lanes == 1 {
-        return Some(fold_lane(&mut init(), lane(0)));
-    }
-
-    let mut result: Option<A> = None;
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..lanes)
-            .map(|l| {
-                let (init, fold_lane) = (&init, &fold_lane);
-                scope.spawn(move || {
-                    IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    let acc = fold_lane(&mut init(), lane(l));
-                    IN_PARALLEL_REGION.with(|flag| flag.set(false));
-                    acc
-                })
-            })
-            .collect();
-        // Joining in spawn order keeps the combine sequence identical to
-        // the lane order, hence deterministic.
-        for handle in handles {
-            let acc = match handle.join() {
-                Ok(acc) => acc,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            result = Some(match result.take() {
-                Some(prev) => combine(prev, acc),
-                None => acc,
-            });
-        }
-    });
-    result
+    let lanes = strided_lanes(lanes, items.len());
+    run_lanes(lanes, |l| {
+        fold_lane(&mut init(), items.iter().enumerate().skip(l).step_by(lanes))
+    })
+    .into_iter()
+    .reduce(combine)
 }
 
 #[cfg(test)]
@@ -282,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reused_within_a_chunk() {
+    fn scratch_is_reused_across_a_workers_items() {
         let items: Vec<usize> = (0..100).collect();
         let inits = AtomicUsize::new(0);
         let results = par_map_with(
@@ -446,6 +473,97 @@ mod tests {
                         .sum::<usize>()
                     },
                     |a, b| a + b,
+                )
+            });
+            assert!(result.is_err(), "{lanes} lanes");
+            assert!(!in_parallel_region());
+        }
+    }
+
+    /// For every item, the first index its lane saw and how many items
+    /// that lane had mapped before it.
+    fn map_positions(n: usize, lanes: usize) -> Vec<(usize, usize)> {
+        let items: Vec<usize> = (0..n).collect();
+        map_strided(
+            &items,
+            lanes,
+            || None::<(usize, usize)>,
+            |lane, &i| {
+                let (first, seen) = lane.get_or_insert((i, 0));
+                let position = (*first, *seen);
+                *seen += 1;
+                position
+            },
+        )
+    }
+
+    #[test]
+    fn map_deals_round_robin_and_keeps_input_order() {
+        // Empty input, and fewer, equal and more items than lanes, for 1
+        // to 5 lanes: item `i` is item `i / T` of lane `i % T`, which
+        // starts at index `i % T`.
+        for lanes in 1..=5 {
+            for n in 0..=12 {
+                let used = lanes.min(n).max(1);
+                let expected: Vec<(usize, usize)> = (0..n).map(|i| (i % used, i / used)).collect();
+                assert_eq!(
+                    map_positions(n, lanes),
+                    expected,
+                    "{n} items over {lanes} lanes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_matches_serial_map_bitwise_at_every_lane_count() {
+        let items: Vec<f64> = (0..1_000).map(|i| i as f64 * 0.37).collect();
+        let f = |x: &f64| (x.sin() * 1e9).mul_add(*x, 1.0 / (x + 0.5));
+        let serial: Vec<u64> = items.iter().map(|x| f(x).to_bits()).collect();
+        for lanes in 1..=5 {
+            let mapped = map_strided(&items, lanes, || (), |(), x| f(x).to_bits());
+            assert_eq!(mapped, serial, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn map_scratch_is_per_lane() {
+        let items: Vec<usize> = (0..100).collect();
+        for lanes in 1..=5 {
+            let inits = AtomicUsize::new(0);
+            let mapped = map_strided(
+                &items,
+                lanes,
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                },
+                |(), &x| x + 1,
+            );
+            assert_eq!(mapped, (1..=100).collect::<Vec<usize>>());
+            assert_eq!(inits.load(Ordering::SeqCst), lanes);
+        }
+    }
+
+    #[test]
+    fn map_inside_a_parallel_region_runs_one_lane() {
+        let nested = run_serial(|| map_positions(7, 3));
+        assert_eq!(nested, (0..7).map(|i| (0, i)).collect::<Vec<_>>());
+        assert!(!in_parallel_region());
+    }
+
+    #[test]
+    fn map_lane_panic_propagates() {
+        let items: Vec<usize> = (0..64).collect();
+        for lanes in 1..=5 {
+            let result = std::panic::catch_unwind(|| {
+                map_strided(
+                    &items,
+                    lanes,
+                    || (),
+                    |(), &x| {
+                        assert!(x != 13, "boom");
+                        x
+                    },
                 )
             });
             assert!(result.is_err(), "{lanes} lanes");

@@ -112,6 +112,72 @@ impl GiveUp for CarbonLimit {
     }
 }
 
+/// The streamed aggregates of a dispatch's hourly grid draw, folded in
+/// hour order: the sink that `ce_battery::simulate_dispatch_stats_until`
+/// and `ce_scheduler::combined_dispatch_stats_until` hand their kernels.
+///
+/// Both sums start at `+0.0`, and a sum of floats is `-0.0` only when
+/// every term is, so neither is ever `-0.0`. Adding a `+0.0` draw, and
+/// its product `±0.0` with a finite weight, therefore leaves both sums
+/// bitwise unchanged (a NaN sum stays NaN): such an hour only counts as
+/// covered, which is what [`DrawFold::zero_hour`] folds.
+#[derive(Debug, Clone, Copy)]
+pub struct DrawFold<G> {
+    /// Unmet energy `Σ unmet[h]` and covered hours so far.
+    pub deficit: DeficitStats,
+    /// Weighted grid draw `Σ unmet[h] · weight[h]` so far.
+    pub dot: f64,
+    give_up: G,
+}
+
+impl<G: GiveUp> DrawFold<G> {
+    /// An empty fold that asks `give_up` after every hour it folds.
+    pub fn new(give_up: G) -> Self {
+        Self {
+            deficit: DeficitStats {
+                unmet_mwh: 0.0,
+                covered_hours: 0,
+            },
+            dot: 0.0,
+            give_up,
+        }
+    }
+
+    /// Folds an hour that draws `unmet` from the grid at `weight`, then
+    /// tests the rule on the new weighted sum.
+    #[inline(always)]
+    pub fn hour(&mut self, unmet: f64, weight: f64) -> ControlFlow<G::Stop> {
+        self.deficit.unmet_mwh += unmet;
+        if unmet <= COVERED_EPSILON_MWH {
+            self.count_covered();
+        }
+        self.dot += unmet * weight;
+        self.give_up.test(self.dot)
+    }
+
+    /// [`DrawFold::hour`] of an hour that draws `+0.0` from the grid. At
+    /// a finite `weight` that hour leaves both sums bitwise unchanged, so
+    /// it is only counted as covered before the rule is tested; at a
+    /// non-finite one (`0 · ±∞` and `0 · NaN` are NaN) it is folded in
+    /// full.
+    #[inline(always)]
+    pub fn zero_hour(&mut self, weight: f64) -> ControlFlow<G::Stop> {
+        if weight.is_finite() {
+            self.count_covered();
+            self.give_up.test(self.dot)
+        } else {
+            self.hour(0.0, weight)
+        }
+    }
+
+    /// One more covered hour. The count stays below the number of hours
+    /// folded, a slice length, so it never wraps.
+    #[inline(always)]
+    fn count_covered(&mut self) {
+        self.deficit.covered_hours = self.deficit.covered_hours.wrapping_add(1);
+    }
+}
+
 /// Number of independent accumulator lanes in the chunked reduction
 /// kernels (see the [module docs](self) for the full reduction order).
 ///
